@@ -2,7 +2,7 @@
 """Scaling study of the trapped-fermion model.
 
 Scans the interaction strength, writes the facet-distance and Hartree-Fock
-distance table, and fits the power laws both against kappa and against the
+distance table, and reports the power-law exponents fitted against the
 relative-mode squeeze parameter xi = (omega_rel - 1) / (omega_rel + 1), where
 the laws are clean 8th and 4th powers.
 
@@ -41,16 +41,9 @@ def main() -> int:
     else:
         sys.stdout.write(table)
 
-    ks = np.array([p.kappa for p in result.points])
-    ds = np.array([p.d_value for p in result.points])
-    hs = np.array([p.hf_distance for p in result.points])
-    omega = np.sqrt(1.0 + 2.0 * ks)
-    xi = (omega - 1.0) / (omega + 1.0)
     summary = {
-        "d_exponent_vs_kappa": result.d_slope,
-        "hf_exponent_vs_kappa": result.hf_slope,
-        "d_exponent_vs_xi": float(np.polyfit(np.log(xi), np.log(ds), 1)[0]),
-        "hf_exponent_vs_xi": float(np.polyfit(np.log(xi), np.log(hs), 1)[0]),
+        "d_exponent_vs_xi": result.d_slope,
+        "hf_exponent_vs_xi": result.hf_slope,
         "basis_size": result.basis_size,
         "nodes_per_axis": result.nodes,
     }

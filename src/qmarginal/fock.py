@@ -21,6 +21,7 @@ MAX_ORBITALS = 64
 DEFAULT_BASIS_CAP = 10 ** 6
 NORM_TOL = 1e-12
 STATE_AMPLITUDE_CUTOFF = 1e-14
+_RDM_BLOCK = 1 << 16  # (determinant, j, k) excitations per one_rdm block
 
 
 class CapacityError(ValueError):
@@ -177,20 +178,44 @@ def one_rdm(state: FermionState, norm_tol: float = 1e-8) -> np.ndarray:
     """
     if abs(state.norm_squared() - 1.0) > norm_tol:
         raise ValueError("state norm deviates from 1 beyond tolerance")
-    d = state.space.d
-    rho = np.zeros((d, d), dtype=complex)
-    for det, c in state.amplitudes.items():
-        for j in det.orbitals:
-            s1, reduced = apply_annihilator(det, j)
-            for k in range(1, d + 1):
-                created = apply_creator(reduced, k)
-                if created is None:
-                    continue
-                s2, target = created
-                c_target = state.amplitudes.get(target)
-                if c_target is not None:
-                    rho[j - 1, k - 1] += s1 * s2 * np.conj(c_target) * c
-    return rho
+    d, n = state.space.d, state.space.n
+    m = len(state.amplitudes)
+    masks = np.fromiter((det.mask for det in state.amplitudes), dtype=np.uint64, count=m)
+    amps = np.fromiter(state.amplitudes.values(), dtype=complex, count=m)
+    order = np.argsort(masks)
+    sorted_masks = masks[order]
+    bits = np.left_shift(np.uint64(1), np.arange(d, dtype=np.uint64))
+
+    # Every (determinant, j, k) excitation a_k^dag a_j, laid out determinant-
+    # major, then j and k ascending: np.add.at adds in that order, the order
+    # of the plain loop over determinants, so each entry sums its terms in
+    # the same sequence.  Blocks bound the (dets, n, d) temporaries.
+    rho = np.zeros(d * d, dtype=complex)
+    step = max(1, _RDM_BLOCK // (n * d))
+    for start in range(0, m, step):
+        block = masks[start:start + step]
+        occ = (block[:, None] & bits) != 0                      # (b, d)
+        below = np.cumsum(occ, axis=1) - occ                    # occupied strictly below
+        j = np.nonzero(occ)[1].reshape(-1, n)                   # (b, n), ascending
+        reduced = block[:, None] & ~bits[j]                     # a_j |det>
+        # where k is occupied in reduced, a_k^dag gives 0 and the target holds
+        # n-1 fermions, so it matches no determinant of the state
+        targets = reduced[:, :, None] | bits                    # (b, n, d)
+        # sign of a_j on det, then of a_k^dag on the reduced determinant
+        parity = (np.take_along_axis(below, j, axis=1)[:, :, None]
+                  + below[:, None, :] - (np.arange(d) > j[:, :, None]))
+        pos = np.minimum(np.searchsorted(sorted_masks, targets), m - 1)
+        hit = sorted_masks[pos] == targets
+        sign = 1.0 - 2.0 * (parity[hit] & 1)
+        c_target = amps[order[pos[hit]]]
+        c = np.broadcast_to(amps[start:start + step, None, None], hit.shape)[hit]
+        # sign * conj(c_target) * c, spelled out in real arithmetic: numpy's
+        # vectorised complex product may round differently from a scalar one
+        term = np.empty(c.shape, dtype=complex)
+        term.real = sign * (c_target.real * c.real + c_target.imag * c.imag)
+        term.imag = sign * (c_target.real * c.imag - c_target.imag * c.real)
+        np.add.at(rho, (j[:, :, None] * d + np.arange(d))[hit], term)
+    return rho.reshape(d, d)
 
 
 def natural_occupations(rdm: np.ndarray, herm_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:

@@ -17,13 +17,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import roots_hermite
 
 from .fock import FermionState, OrbitalSpace, SlaterDeterminant, one_rdm, natural_occupations
 from .gpc import catalog, evaluate, truncate_spectrum
@@ -97,6 +94,10 @@ def _helmert(n: int) -> np.ndarray:
 
 def _gh_nodes(g: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and Gaussian-free weights w*exp(t^2) of the g-point rule."""
+    # imported here: scipy.special takes longer to import than the rest of the
+    # package, and commands without a harmonium expansion never need it
+    from scipy.special import roots_hermite
+
     t, w = roots_hermite(g)
     return t, np.exp(np.log(w) + t * t)
 
@@ -368,11 +369,25 @@ def _scan_point(kappa: float, quad: QuadratureSpec, bd) -> ScanPoint:
                      precision_floor=bool(abs(d_value) < PRECISION_FLOOR))
 
 
+def _log_log_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Least-squares slope of ln y against ln x over the points with y > 0."""
+    pairs = [(x, y) for x, y in zip(xs, ys) if y > 0]
+    if len(pairs) < 2:
+        return float("nan")
+    x, y = np.log(np.array(pairs)).T
+    return float(np.polyfit(x, y, 1)[0])
+
+
 def quasipinning_scan(kappas: Sequence[float],
-                      quad: QuadratureSpec | None = None,
-                      threads: int | None = None) -> ScanResult:
-    """Facet distance and Hartree-Fock distance along a kappa grid with
-    log-log least-squares exponents."""
+                      quad: QuadratureSpec | None = None) -> ScanResult:
+    """Facet distance and Hartree-Fock distance along a kappa grid.
+
+    d_slope and hf_slope are log-log least-squares exponents against the
+    squeeze parameter xi = (omega_rel - 1)/(omega_rel + 1), which is
+    proportional to kappa as kappa -> 0 in every normalisation of kappa, so
+    they estimate the asymptotic exponents (8 and 4 for N = 3) rather than a
+    finite-window kappa-slope.
+    """
     kappas = [float(k) for k in kappas]
     if not kappas:
         raise ValueError("empty kappa grid")
@@ -380,28 +395,11 @@ def quasipinning_scan(kappas: Sequence[float],
         raise ValueError("scan grid must lie within [0.01, 0.5]")
     quad = quad or QuadratureSpec()
     bd = catalog(3, 6).by_label("bd-ineq")
-    if threads is None:
-        threads = int(os.environ.get("QMARG_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(lambda k: _scan_point(k, quad, bd), kappas))
-    else:
-        points = [_scan_point(k, quad, bd) for k in kappas]
-    order = np.argsort([p.kappa for p in points])
-    points = [points[i] for i in order]
-
-    usable = [p for p in points if p.d_value > 0]
-    if len(usable) >= 2:
-        d_slope = float(np.polyfit(np.log([p.kappa for p in usable]),
-                                   np.log([p.d_value for p in usable]), 1)[0])
-    else:
-        d_slope = float("nan")
-    hf_ok = [p for p in points if p.hf_distance > 0]
-    if len(hf_ok) >= 2:
-        hf_slope = float(np.polyfit(np.log([p.kappa for p in hf_ok]),
-                                    np.log([p.hf_distance for p in hf_ok]), 1)[0])
-    else:
-        hf_slope = float("nan")
-    return ScanResult(points=tuple(points), d_slope=d_slope, hf_slope=hf_slope,
+    points = sorted((_scan_point(k, quad, bd) for k in kappas), key=lambda p: p.kappa)
+    omegas = [ground_state_spec(HarmoniumParams(n=3, kappa=p.kappa)).omega_rel for p in points]
+    xis = [(w - 1.0) / (w + 1.0) for w in omegas]
+    return ScanResult(points=tuple(points),
+                      d_slope=_log_log_slope(xis, [p.d_value for p in points]),
+                      hf_slope=_log_log_slope(xis, [p.hf_distance for p in points]),
                       basis_size=quad.basis_size, nodes=quad.node_count(3),
                       floor=PRECISION_FLOOR)

@@ -131,12 +131,14 @@ def test_criterion_05_harmonium_scaling_exponents():
     positive = min(d_values) > 0 and min(hf_values) > 0
     d_slope = _log_log_slope(xis, d_values) if positive else float("nan")
     hf_slope = _log_log_slope(xis, hf_values) if positive else float("nan")
+    d_kappa_slope = _log_log_slope(kappas, d_values) if positive else float("nan")
+    hf_kappa_slope = _log_log_slope(kappas, hf_values) if positive else float("nan")
     ok_d = abs(d_slope - 8.0) <= 0.75
     ok_hf = abs(hf_slope - 4.0) <= 0.5
     assert report(5, ok_d and ok_hf, "log-log exponents in xi over kappa in [0.05, 0.3]",
                   f"facet-distance xi-slope {d_slope:.3f} (want 8 +/- 0.75), "
                   f"HF-distance xi-slope {hf_slope:.3f} (want 4 +/- 0.5); "
-                  f"kappa-slopes {result.d_slope:.3f} and {result.hf_slope:.3f} "
+                  f"kappa-slopes {d_kappa_slope:.3f} and {hf_kappa_slope:.3f} "
                   "(finite-window, not asserted)")
 
 

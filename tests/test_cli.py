@@ -1,10 +1,15 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import qmarginal
 from qmarginal.cli import main
 from qmarginal.fock import FermionState, OrbitalSpace, SlaterDeterminant, write_state_json
 
@@ -159,6 +164,16 @@ class TestHarmonium:
         header = csv_path.read_text().splitlines()[0]
         assert header == "kappa,D,hf_dist,eps6,norm_deficit"
 
+    def test_scan_exponents_are_the_xi_exponents(self):
+        # fitted against xi = (omega_rel-1)/(omega_rel+1), not kappa: the
+        # kappa-slopes of this window are ~7.1 and ~3.6
+        code, out = run_cli(["harmonium", "--scan", "0.05:0.3:8", "--basis", "12",
+                             "--json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["d_exponent"] == pytest.approx(8.0, abs=0.1)
+        assert doc["hf_exponent"] == pytest.approx(4.0, abs=0.01)
+
     def test_requires_kappa_or_scan(self):
         assert run_cli(["harmonium", "--n", "3"])[0] == 2
 
@@ -205,3 +220,14 @@ class TestReproducibility:
         code_b, out_b = run_cli(argv)
         assert code_a == code_b
         assert out_a == out_b
+
+
+def test_cli_import_does_not_load_scipy_special():
+    # a fresh interpreter: this one has scipy loaded by other test modules
+    src = str(Path(qmarginal.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = "import sys, qmarginal.cli; print('scipy.special' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "False"

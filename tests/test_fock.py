@@ -11,10 +11,35 @@ from qmarginal.fock import (CapacityError, FermionState, OrbitalSpace,
                             enumerate_slaters, natural_occupations, one_rdm,
                             random_state, read_state_json, restricted_ground_state,
                             rotate_orbitals, write_state_json)
+from qmarginal.harmonium import HarmoniumParams, QuadratureSpec, expand_in_hermite_basis
 
 
 def det(*orbitals):
     return SlaterDeterminant.from_orbitals(orbitals)
+
+
+def loop_one_rdm(state):
+    """Reference 1-RDM: the per-determinant loop over a_k^dag a_j."""
+    d = state.space.d
+    rho = np.zeros((d, d), dtype=complex)
+    for src, c in state.amplitudes.items():
+        for j in src.orbitals:
+            s1, reduced = apply_annihilator(src, j)
+            for k in range(1, d + 1):
+                created = apply_creator(reduced, k)
+                if created is None:
+                    continue
+                s2, target = created
+                c_target = state.amplitudes.get(target)
+                if c_target is not None:
+                    rho[j - 1, k - 1] += s1 * s2 * np.conj(c_target) * c
+    return rho
+
+
+def sparse_state(space, orbital_sets, rng):
+    amps = {det(*orbitals): complex(rng.standard_normal(), rng.standard_normal())
+            for orbitals in orbital_sets}
+    return FermionState.from_amplitudes(space, amps)
 
 
 def bd_example_state():
@@ -150,6 +175,31 @@ class TestOneRDM:
         assert abs(np.trace(rho).real - 3.0) < 1e-10
         lams = np.linalg.eigvalsh(rho)
         assert lams.min() > -1e-10 and lams.max() < 1 + 1e-10
+
+    @pytest.mark.parametrize("n,d", [(1, 5), (3, 6), (3, 8), (4, 10), (5, 9), (3, 12)])
+    def test_matches_loop_on_dense_complex_states(self, n, d):
+        state = random_state(OrbitalSpace(d=d, n=n), np.random.default_rng(100 * n + d))
+        assert np.max(np.abs(one_rdm(state) - loop_one_rdm(state))) <= 1e-15
+
+    def test_matches_loop_on_sparse_states(self):
+        rng = np.random.default_rng(7)
+        # single excitations of one another, so off-diagonal terms appear,
+        # including moves into and out of orbital 64 (bit 63 of the mask)
+        top = sparse_state(OrbitalSpace(d=64, n=3),
+                           [(1, 2, 64), (1, 2, 3), (2, 3, 64), (1, 3, 63), (1, 63, 64),
+                            (30, 31, 64)], rng)
+        orbital_sets = {tuple(sorted(int(k) for k in rng.choice(np.arange(1, 21), 4,
+                                                                replace=False)))
+                        for _ in range(60)}
+        spread = sparse_state(OrbitalSpace(d=20, n=4), sorted(orbital_sets), rng)
+        for state in (top, spread):
+            assert np.max(np.abs(one_rdm(state) - loop_one_rdm(state))) <= 1e-15
+        assert abs(one_rdm(top)[63, 2]) > 0  # |1,2,64> <-> |1,2,3>
+
+    def test_bit_identical_to_loop_on_harmonium_state(self):
+        state, _ = expand_in_hermite_basis(HarmoniumParams(n=3, kappa=1.0 / 3.0),
+                                           QuadratureSpec(basis_size=12))
+        assert np.array_equal(one_rdm(state), loop_one_rdm(state))
 
     def test_unnormalized_rejected(self):
         space = OrbitalSpace(d=4, n=2)

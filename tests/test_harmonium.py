@@ -162,13 +162,6 @@ class TestNonCurveAndScan:
         assert [p.kappa for p in a.points] == [0.1, 0.3]
         assert a == b
 
-    def test_threaded_scan_matches_serial(self, monkeypatch):
-        quad = QuadratureSpec(basis_size=12)
-        serial = quasipinning_scan([0.1, 0.2, 0.3], quad=quad, threads=1)
-        monkeypatch.setenv("QMARG_THREADS", "3")
-        threaded = quasipinning_scan([0.1, 0.2, 0.3], quad=quad)
-        assert serial == threaded
-
 
 class TestFrozenReferenceValues:
     """Values certified by the independent diagonalization oracle below."""
