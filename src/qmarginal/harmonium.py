@@ -24,10 +24,12 @@ import numpy as np
 
 from .fock import FermionState, OrbitalSpace, SlaterDeterminant, one_rdm, natural_occupations
 from .gpc import catalog, evaluate, truncate_spectrum
+from .linalg import one_blas_thread
 
 DEFAULT_BASIS_SIZE = 28
 DEFICIT_TOL = 1e-6
-_CHUNK = 1 << 17
+_CHUNK = 1 << 13  # quadrature nodes evaluated at once
+_BLOCK = 1 << 9  # nodes per matrix product in the expansion
 # quadrature and Jacobi rotations resolve occupations to a few eps in
 # absolute terms; facet values below ~100 eps are precision-limited
 PRECISION_FLOOR = 100 * np.finfo(float).eps
@@ -271,35 +273,46 @@ def expand_in_hermite_basis(params: HarmoniumParams,
     axes_y = [t / math.sqrt(a) for a in alphas]
     axes_w = [wfree / math.sqrt(a) for a in alphas]
 
-    tensor = np.zeros((d_basis,) * n)
+    # The amplitude tensor is antisymmetric, so only entries whose last two
+    # levels increase are formed: its last axis runs over the pairs lo < hi,
+    # and each node block takes one matrix product per level of the leading
+    # n - 3 axes.  Chunks and blocks keep the arrays of a step in cache.
+    lo, hi = np.triu_indices(d_basis, 1)
+    pair_of = np.full((d_basis, d_basis), -1)
+    pair_of[lo, hi] = np.arange(lo.size)
+    tensor = np.zeros((d_basis,) * (n - 2) + (lo.size,))
     m_total = g ** n
-    for start in range(0, m_total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, m_total))
-        y = np.empty((n, idx.size))
-        wnode = np.ones(idx.size)
-        rem = idx
-        for a in range(n - 1, -1, -1):
-            part = rem % g
-            rem = rem // g
-            y[a] = axes_y[a][part]
-            wnode = wnode * axes_w[a][part]
-        x = q @ y
-        values = wnode * wavefunction(spec, x.T)
-        phis = [hermite_functions(d_basis, x[i]) for i in range(n)]
-        if n == 2:
-            tensor += (phis[0] * values) @ phis[1].T
-        else:
-            for head in itertools.product(range(d_basis), repeat=n - 2):
-                partial = values
-                for axis, level in enumerate(head):
-                    partial = partial * phis[axis][level]
-                tensor[head] += (phis[n - 2] * partial) @ phis[n - 1].T
+    with one_blas_thread():
+        for start in range(0, m_total, _CHUNK):
+            idx = np.arange(start, min(start + _CHUNK, m_total))
+            y = np.empty((n, idx.size))
+            wnode = np.ones(idx.size)
+            rem = idx
+            for a in range(n - 1, -1, -1):
+                part = rem % g
+                rem = rem // g
+                y[a] = axes_y[a][part]
+                wnode = wnode * axes_w[a][part]
+            x = q @ y
+            values = wnode * wavefunction(spec, x.T)
+            phis = [hermite_functions(d_basis, x[i]) for i in range(n)]
+            for first in range(0, idx.size, _BLOCK):
+                nodes = slice(first, first + _BLOCK)
+                pair_phis = phis[n - 2][lo, nodes] * phis[n - 1][hi, nodes]
+                if n == 2:
+                    tensor += pair_phis @ values[nodes]
+                    continue
+                for head in itertools.product(range(d_basis), repeat=n - 3):
+                    partial = values[nodes]
+                    for axis, level in enumerate(head):
+                        partial = partial * phis[axis][level, nodes]
+                    tensor[head] += (phis[n - 3][:, nodes] * partial) @ pair_phis.T
 
     scale = math.sqrt(math.factorial(n))
     amplitudes = {}
     weight = 0.0
     for levels in itertools.combinations(range(d_basis), n):
-        c = scale * tensor[levels]
+        c = scale * tensor[levels[:-2] + (pair_of[levels[-2], levels[-1]],)]
         weight += c * c
         amplitudes[SlaterDeterminant.from_orbitals([lv + 1 for lv in levels])] = c
     deficit = 1.0 - weight

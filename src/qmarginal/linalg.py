@@ -5,10 +5,17 @@ operators (eigenvalues spread over many orders of magnitude) Jacobi with a
 relative rotation threshold resolves the small eigenvalues to high relative
 accuracy, which plain QR-based solvers do not guarantee.  Intended for the
 small dimensions of this package (d <= 64).
+
+Also holds ``one_blas_thread``, which runs numpy's matrix products on a
+single BLAS thread for the duration of a ``with`` block.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -77,3 +84,41 @@ def jacobi_eigh(a: np.ndarray, rel_tol: float = _REL_TOL) -> tuple[np.ndarray, n
     lams = np.real(np.diag(w)).copy()
     order = np.argsort(lams, kind="stable")[::-1]
     return lams[order], v[:, order]
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_threads():
+    """(set, get) for the thread count of numpy's bundled OpenBLAS, or None."""
+    root = Path(np.__file__).resolve().parent
+    for folder in (root.parent / "numpy.libs", root / ".dylibs"):  # wheel layouts
+        for path in sorted(folder.glob("*scipy_openblas64_*")):
+            lib = ctypes.CDLL(str(path))
+            setter = lib.scipy_openblas_set_num_threads64_
+            getter = lib.scipy_openblas_get_num_threads64_
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return setter, getter
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run numpy's BLAS calls inside the block on one thread.
+
+    A threaded product waits for its slowest thread, and OpenBLAS keeps its
+    idle workers spinning between calls, so a loop of modest products runs
+    only a little faster on two threads but its time follows how busy the
+    machine's other cores are.  The previous thread count is restored on
+    exit.  Where numpy's BLAS is not its bundled OpenBLAS this does nothing.
+    """
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    setter, getter = calls
+    before = getter()
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(before)

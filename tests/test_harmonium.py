@@ -7,6 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.special import roots_hermite
 
+from qmarginal import harmonium, linalg
 from qmarginal.fock import natural_occupations, one_rdm, SlaterDeterminant
 from qmarginal.gpc import catalog, evaluate, truncate_spectrum
 from qmarginal.harmonium import (BasisDeficitError, HarmoniumParams, QuadratureSpec,
@@ -22,6 +23,33 @@ def spectrum(kappa, n=3, basis=16, nodes=None):
     state, deficit = expand_in_hermite_basis(HarmoniumParams(n=n, kappa=kappa), quad)
     lams, _ = natural_occupations(one_rdm(state))
     return state, lams, deficit
+
+
+def full_tensor_amplitudes(params, quad):
+    """Reference expansion: the whole d^n projection tensor over the full node
+    grid at once, one matrix product per level of its leading n - 2 axes."""
+    spec = ground_state_spec(params)
+    n, d, g = spec.n, quad.basis_size, quad.node_count(spec.n)
+    t, w = roots_hermite(g)
+    wfree = w * np.exp(t * t)
+    alphas = [1.0] + [(1.0 + spec.omega_rel) / 2.0] * (n - 1)
+    parts = np.array(list(itertools.product(range(g), repeat=n))).T
+    y = np.array([t[parts[a]] / math.sqrt(alphas[a]) for a in range(n)])
+    wnode = np.prod([wfree[parts[a]] / math.sqrt(alphas[a]) for a in range(n)], axis=0)
+    x = harmonium._helmert(n) @ y
+    values = wnode * wavefunction(spec, x.T)
+    phis = [hermite_functions(d, x[i]) for i in range(n)]
+    tensor = np.zeros((d,) * n)
+    for head in itertools.product(range(d), repeat=n - 2):
+        partial = values
+        for axis, level in enumerate(head):
+            partial = partial * phis[axis][level]
+        tensor[head] += (phis[n - 2] * partial) @ phis[n - 1].T
+    amps = {levels: math.sqrt(math.factorial(n)) * tensor[levels]
+            for levels in itertools.combinations(range(d), n)}
+    norm = math.sqrt(sum(c * c for c in amps.values()))
+    return {SlaterDeterminant.from_orbitals([lv + 1 for lv in levels]): c / norm
+            for levels, c in amps.items()}
 
 
 class TestGroundStateSpec:
@@ -87,6 +115,43 @@ class TestExpansion:
         diffs = [abs(state_a.amplitude(det) - state_b.amplitude(det))
                  for det in state_a.amplitudes]
         assert max(diffs) < 1e-13
+
+    @pytest.mark.parametrize("n,kappa,basis", [(2, 0.25, 10), (3, 0.2, 10), (4, 0.15, 9)])
+    def test_matches_full_tensor_projection(self, n, kappa, basis):
+        params, quad = HarmoniumParams(n=n, kappa=kappa), QuadratureSpec(basis_size=basis)
+        state, _ = expand_in_hermite_basis(params, quad)
+        reference = full_tensor_amplitudes(params, quad)
+        assert state.amplitudes.keys() == reference.keys()
+        assert max(abs(c - reference[det]) for det, c in state.amplitudes.items()) < 1e-13
+
+    def test_node_blocks_and_chunks_change_nothing(self, monkeypatch):
+        # ragged node blocks inside ragged chunks against one block and chunk
+        params, quad = HarmoniumParams(n=3, kappa=0.2), QuadratureSpec(basis_size=10)
+        monkeypatch.setattr(harmonium, "_CHUNK", 10 ** 6)
+        monkeypatch.setattr(harmonium, "_BLOCK", 10 ** 6)
+        whole, deficit_whole = expand_in_hermite_basis(params, quad)
+        monkeypatch.setattr(harmonium, "_CHUNK", 1000)
+        monkeypatch.setattr(harmonium, "_BLOCK", 77)
+        blocked, deficit_blocked = expand_in_hermite_basis(params, quad)
+        assert abs(deficit_whole - deficit_blocked) < 1e-14
+        assert max(abs(c - whole.amplitude(det))
+                   for det, c in blocked.amplitudes.items()) < 1e-14
+
+    def test_one_blas_thread_scope(self):
+        calls = linalg._openblas_threads()
+        if calls is None:
+            pytest.skip("numpy does not use its bundled OpenBLAS here")
+        _, get = calls
+        before = get()
+        with linalg.one_blas_thread():
+            assert get() == 1
+            expand_in_hermite_basis(HarmoniumParams(n=3, kappa=0.2), QuadratureSpec(basis_size=8))
+            assert get() == 1
+        assert get() == before
+        with pytest.raises(RuntimeError):
+            with linalg.one_blas_thread():
+                raise RuntimeError
+        assert get() == before
 
     def test_wavefunction_antisymmetry(self):
         spec = ground_state_spec(HarmoniumParams(n=3, kappa=0.2))
