@@ -68,6 +68,11 @@ def _parse_setting(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
+def _check_pin_tol(value: float) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"--pin-tol must be a finite number >= 0, got {value!r}")
+
+
 def _emit(out, text: str) -> None:
     out.write(text)
     if not text.endswith("\n"):
@@ -129,8 +134,11 @@ def cmd_non(args, out) -> int:
 def cmd_gpc(args, out) -> int:
     if (args.non is None) == (args.state is None):
         raise ValueError("provide exactly one of --non or --state")
+    _check_pin_tol(args.pin_tol)
     if args.non is not None:
         lams = np.array([float(v) for v in args.non.split(",")])
+        if not np.all(np.isfinite(lams)):
+            raise ValueError(f"--non values must be finite, got {args.non!r}")
         if args.setting is None:
             raise ValueError("--setting N,d is required with --non")
         n, d = _parse_setting(args.setting)
@@ -172,7 +180,7 @@ def cmd_harmonium(args, out) -> int:
         raise ValueError("provide exactly one of --kappa or --scan")
     quad = harmonium.QuadratureSpec(basis_size=args.basis, nodes=args.nodes)
     if args.kappa is not None:
-        point = _single_point(args.kappa, args.n, quad)
+        point = harmonium.point(args.kappa, args.n, quad)
         payload = {"kappa": point.kappa, "D": point.d_value,
                    "hf_dist": point.hf_distance, "eps6": point.eps6,
                    "norm_deficit": point.norm_deficit,
@@ -213,24 +221,8 @@ def cmd_harmonium(args, out) -> int:
     return EXIT_OK
 
 
-def _single_point(kappa: float, n: int, quad: harmonium.QuadratureSpec) -> harmonium.ScanPoint:
-    state, deficit = harmonium.expand_in_hermite_basis(
-        harmonium.HarmoniumParams(n=n, kappa=kappa), quad)
-    lams, _ = fock.natural_occupations(fock.one_rdm(state))
-    lam6, eps6 = gpc.truncate_spectrum(lams, min(6, lams.size))
-    if n == 3 and lams.size >= 6:
-        d_value = gpc.evaluate(gpc.catalog(3, 6).by_label("bd-ineq"), lam6)
-    else:
-        d_value = gpc.pinning_report(lam6, gpc.catalog(n, lam6.size)).d_min
-    hf = lams.copy()
-    hf[:n] -= 1.0
-    return harmonium.ScanPoint(kappa=float(kappa), d_value=float(d_value),
-                               hf_distance=float(np.linalg.norm(hf)), eps6=eps6,
-                               norm_deficit=deficit,
-                               precision_floor=bool(abs(d_value) < harmonium.PRECISION_FLOOR))
-
-
 def cmd_selection(args, out) -> int:
+    _check_pin_tol(args.pin_tol)
     n, d = _parse_setting(args.setting)
     space = fock.OrbitalSpace(d=d, n=n)
     cat = gpc.catalog(n, d)
@@ -283,6 +275,8 @@ def cmd_selection(args, out) -> int:
 
 def cmd_hz(args, out) -> int:
     d = args.dim
+    if d < 1:
+        raise ValueError(f"--dim must be at least 1, got {d}")
     rng = np.random.default_rng([args.seed, 0])
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = (g + g.conj().T) / 2.0

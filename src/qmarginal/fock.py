@@ -182,6 +182,11 @@ def one_rdm(state: FermionState, norm_tol: float = 1e-8) -> np.ndarray:
     m = len(state.amplitudes)
     masks = np.fromiter((det.mask for det in state.amplitudes), dtype=np.uint64, count=m)
     amps = np.fromiter(state.amplitudes.values(), dtype=complex, count=m)
+    # a zero amplitude only adds terms of +-0 to rho, so dropping it leaves
+    # rho bit for bit the same
+    nonzero = amps != 0
+    masks, amps = masks[nonzero], amps[nonzero]
+    m = masks.size
     order = np.argsort(masks)
     sorted_masks = masks[order]
     bits = np.left_shift(np.uint64(1), np.arange(d, dtype=np.uint64))

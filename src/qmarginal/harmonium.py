@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .fock import FermionState, OrbitalSpace, SlaterDeterminant, one_rdm, natural_occupations
-from .gpc import catalog, evaluate, truncate_spectrum
+from .gpc import catalog, evaluate, pinning_report, truncate_spectrum
 from .linalg import one_blas_thread
 
 DEFAULT_BASIS_SIZE = 28
@@ -47,6 +47,8 @@ class HarmoniumParams:
     def __post_init__(self):
         if self.n not in (2, 3, 4):
             raise ValueError(f"particle number must be 2, 3 or 4, got {self.n}")
+        if not math.isfinite(self.kappa):
+            raise ValueError(f"kappa must be finite, got {self.kappa!r}")
         if self.kappa < 0:
             raise ValueError("attractive regime kappa < 0 is not supported")
 
@@ -273,18 +275,33 @@ def expand_in_hermite_basis(params: HarmoniumParams,
     axes_y = [t / math.sqrt(a) for a in alphas]
     axes_w = [wfree / math.sqrt(a) for a in alphas]
 
+    # Parity fold.  The grid is symmetric, so node i mirrors node g^n - 1 - i
+    # through x -> -x, where Psi picks up (-1)^(n(n-1)/2) and phi_l picks up
+    # (-1)^l; the centre node of an odd grid sits at x = 0, where Psi = 0.  An
+    # amplitude whose levels sum to the parity of n(n-1)/2 is therefore twice
+    # its sum over the first g^n // 2 nodes, and every other one is exactly 0.
+    parity = n * (n - 1) // 2 % 2
     # The amplitude tensor is antisymmetric, so only entries whose last two
     # levels increase are formed: its last axis runs over the pairs lo < hi,
-    # and each node block takes one matrix product per level of the leading
-    # n - 3 axes.  Chunks and blocks keep the arrays of a step in cache.
-    lo, hi = np.triu_indices(d_basis, 1)
+    # grouped by the parity s of lo + hi.  Each node block multiplies the
+    # even and the odd rows of the leading axis by the one pair group that
+    # completes the allowed parity, once per level of the leading n - 3 axes.
+    # Chunks and blocks keep the arrays of a step in cache.
+    groups = [[(lo, hi) for lo in range(d_basis) for hi in range(lo + 2 - s, d_basis, 2)]
+              for s in (0, 1)]
+    sizes = [len(group) for group in groups]
+    cols = [slice(0, sizes[0]), slice(sizes[0], sizes[0] + sizes[1])]
     pair_of = np.full((d_basis, d_basis), -1)
-    pair_of[lo, hi] = np.arange(lo.size)
-    tensor = np.zeros((d_basis,) * (n - 2) + (lo.size,))
-    m_total = g ** n
+    pair_of[tuple(np.array(groups[0] + groups[1]).T)] = np.arange(sizes[0] + sizes[1])
+    needed = (parity,) if n == 2 else (0, 1)
+    tensor = np.zeros((d_basis,) * (n - 2) + (sizes[0] + sizes[1],))
+    m_half = g ** n // 2
+    width = min(_BLOCK, _CHUNK, m_half)
+    pair_buf = [np.empty((size, width)) for size in sizes]
+    lead_buf = np.empty(((d_basis + 1) // 2, width))
     with one_blas_thread():
-        for start in range(0, m_total, _CHUNK):
-            idx = np.arange(start, min(start + _CHUNK, m_total))
+        for start in range(0, m_half, _CHUNK):
+            idx = np.arange(start, min(start + _CHUNK, m_half))
             y = np.empty((n, idx.size))
             wnode = np.ones(idx.size)
             rem = idx
@@ -298,17 +315,30 @@ def expand_in_hermite_basis(params: HarmoniumParams,
             phis = [hermite_functions(d_basis, x[i]) for i in range(n)]
             for first in range(0, idx.size, _BLOCK):
                 nodes = slice(first, first + _BLOCK)
-                pair_phis = phis[n - 2][lo, nodes] * phis[n - 1][hi, nodes]
+                nb = min(_BLOCK, idx.size - first)
+                phi_lo, phi_hi = phis[n - 2][:, nodes], phis[n - 1][:, nodes]
+                pairs = [None, None]
+                for s in needed:  # pair products row by row into the buffer
+                    buf, row = pair_buf[s][:, :nb], 0
+                    for lo in range(d_basis - 1):
+                        hi = phi_hi[lo + 2 - s::2]
+                        np.multiply(phi_lo[lo], hi, out=buf[row:row + hi.shape[0]])
+                        row += hi.shape[0]
+                    pairs[s] = buf
                 if n == 2:
-                    tensor += pair_phis @ values[nodes]
+                    tensor[cols[parity]] += pairs[parity] @ values[nodes]
                     continue
                 for head in itertools.product(range(d_basis), repeat=n - 3):
                     partial = values[nodes]
                     for axis, level in enumerate(head):
                         partial = partial * phis[axis][level, nodes]
-                    tensor[head] += (phis[n - 3][:, nodes] * partial) @ pair_phis.T
+                    for r in (0, 1):
+                        s = (parity - sum(head) - r) % 2
+                        rows = phis[n - 3][r::2, nodes]
+                        lead = np.multiply(rows, partial, out=lead_buf[:rows.shape[0], :nb])
+                        tensor[head][r::2, cols[s]] += lead @ pairs[s].T
 
-    scale = math.sqrt(math.factorial(n))
+    scale = 2.0 * math.sqrt(math.factorial(n))  # the fold's factor 2 is exact
     amplitudes = {}
     weight = 0.0
     for levels in itertools.combinations(range(d_basis), n):
@@ -369,14 +399,24 @@ class ScanResult:
     floor: float
 
 
-def _scan_point(kappa: float, quad: QuadratureSpec, bd) -> ScanPoint:
-    state, deficit = expand_in_hermite_basis(HarmoniumParams(n=3, kappa=kappa), quad)
+def point(kappa: float, n: int = 3, quad: QuadratureSpec | None = None) -> ScanPoint:
+    """Facet value, Hartree-Fock distance and truncation weights at one kappa.
+
+    For n = 3 in at least 6 orbitals the facet value is the Borland-Dennis
+    inequality bd-ineq on the 6 largest occupations; otherwise it is the
+    smallest constraint value of the catalog for those occupations.
+    """
+    quad = quad or QuadratureSpec()
+    state, deficit = expand_in_hermite_basis(HarmoniumParams(n=n, kappa=kappa), quad)
     lams, _ = natural_occupations(one_rdm(state))
-    lam6, eps6 = truncate_spectrum(lams, 6)
-    d_value = evaluate(bd, lam6)
+    lam6, eps6 = truncate_spectrum(lams, min(6, lams.size))
+    if n == 3 and lams.size >= 6:
+        d_value = evaluate(catalog(3, 6).by_label("bd-ineq"), lam6)
+    else:
+        d_value = pinning_report(lam6, catalog(n, lam6.size)).d_min
     hf = lams.copy()
-    hf[:3] -= 1.0
-    return ScanPoint(kappa=kappa, d_value=float(d_value),
+    hf[:n] -= 1.0
+    return ScanPoint(kappa=float(kappa), d_value=float(d_value),
                      hf_distance=float(np.linalg.norm(hf)), eps6=eps6,
                      norm_deficit=deficit,
                      precision_floor=bool(abs(d_value) < PRECISION_FLOOR))
@@ -407,8 +447,7 @@ def quasipinning_scan(kappas: Sequence[float],
     if min(kappas) < 0.01 or max(kappas) > 0.5:
         raise ValueError("scan grid must lie within [0.01, 0.5]")
     quad = quad or QuadratureSpec()
-    bd = catalog(3, 6).by_label("bd-ineq")
-    points = sorted((_scan_point(k, quad, bd) for k in kappas), key=lambda p: p.kappa)
+    points = sorted((point(k, 3, quad) for k in kappas), key=lambda p: p.kappa)
     omegas = [ground_state_spec(HarmoniumParams(n=3, kappa=p.kappa)).omega_rel for p in points]
     xis = [(w - 1.0) / (w + 1.0) for w in omegas]
     return ScanResult(points=tuple(points),

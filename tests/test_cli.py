@@ -206,6 +206,28 @@ class TestSchubertCommands:
                         "--sigma", "0001"])[0] == 2
 
 
+class TestInputsCheckedAtTheBoundary:
+    @pytest.mark.parametrize("argv", [
+        ["harmonium", "--kappa", "nan", "--basis", "8", "--json"],
+        ["harmonium", "--kappa", "inf", "--basis", "8", "--json"],
+        ["harmonium", "--kappa=-inf", "--basis", "8", "--json"],
+        ["gpc", "--non", "nan,0.7,0.6,0.4,0.3,0.1", "--setting", "3,6", "--json"],
+        ["gpc", "--non", "0.9,0.7,0.6,0.4,0.3,inf", "--setting", "3,6", "--json"],
+        ["gpc", "--non", "0.9,0.7,0.6,0.4,0.3,0.1", "--setting", "3,6", "--pin-tol", "-1"],
+        ["gpc", "--non", "0.9,0.7,0.6,0.4,0.3,0.1", "--setting", "3,6", "--pin-tol", "nan"],
+        ["selection", "--setting", "3,6", "--saturated", "none", "--pin-tol", "-1"],
+        ["hz", "--dim", "0", "--json"],
+        ["hz", "--dim=-2", "--json"],
+    ])
+    def test_rejected_with_exit_2(self, argv, capsys):
+        code, out = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "zero-size array" not in err
+
+
 class TestReproducibility:
     @pytest.mark.parametrize("argv", [
         ["gpc", "--non", "0.9,0.7,0.6,0.4,0.3,0.1", "--setting", "3,6", "--json"],

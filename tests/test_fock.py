@@ -201,6 +201,22 @@ class TestOneRDM:
                                            QuadratureSpec(basis_size=12))
         assert np.array_equal(one_rdm(state), loop_one_rdm(state))
 
+    @pytest.mark.parametrize("complex_amps", [False, True])
+    def test_zero_amplitudes_change_nothing(self, complex_amps):
+        # explicit zeros interleaved with the support, in enumeration order
+        space = OrbitalSpace(d=10, n=3)
+        rng = np.random.default_rng(11)
+        basis = enumerate_slaters(space)
+        support = set(rng.choice(len(basis), 40, replace=False).tolist())
+        values = rng.standard_normal(len(basis)) + 1j * complex_amps * rng.standard_normal(len(basis))
+        values /= np.linalg.norm(values[sorted(support)])
+        zeros = (0.0, -0.0, 0j)
+        padded = FermionState(space, {det: (values[i] if i in support else zeros[i % 3])
+                                      for i, det in enumerate(basis)})
+        bare = FermionState(space, {det: values[i] for i, det in enumerate(basis)
+                                    if i in support})
+        assert np.array_equal(one_rdm(padded), one_rdm(bare))
+
     def test_unnormalized_rejected(self):
         space = OrbitalSpace(d=4, n=2)
         state = FermionState.from_amplitudes(space, {det(1, 2): 1.0})

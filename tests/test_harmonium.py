@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -72,6 +73,11 @@ class TestGroundStateSpec:
         with pytest.raises(ValueError):
             HarmoniumParams(n=3, kappa=-0.1)
 
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coupling_rejected(self, kappa):
+        with pytest.raises(ValueError, match="finite"):
+            HarmoniumParams(n=3, kappa=kappa)
+
     @pytest.mark.parametrize("n,kappa", [(2, 0.25), (3, 1.0 / 3.0), (3, 0.0), (4, 0.15)])
     def test_eigenfunction_residual(self, n, kappa):
         energy, residual = ground_state_residual(HarmoniumParams(n=n, kappa=kappa))
@@ -115,6 +121,32 @@ class TestExpansion:
         diffs = [abs(state_a.amplitude(det) - state_b.amplitude(det))
                  for det in state_a.amplitudes]
         assert max(diffs) < 1e-13
+
+    @pytest.mark.parametrize("n,kappa,basis,nodes", [
+        (2, 0.25, 10, 10), (2, 0.25, 10, 11), (3, 0.2, 10, 16), (3, 0.2, 10, 17),
+        (4, 0.1, 8, 18), (4, 0.1, 8, 19)])
+    def test_parity_fold_matches_full_grid(self, n, kappa, basis, nodes):
+        # half the grid, doubled, against every node of an even and an odd grid
+        params = HarmoniumParams(n=n, kappa=kappa)
+        quad = QuadratureSpec(basis_size=basis, nodes=nodes)
+        state, _ = expand_in_hermite_basis(params, quad)
+        reference = full_tensor_amplitudes(params, quad)
+        parity = n * (n - 1) // 2 % 2
+        for det, c in state.amplitudes.items():
+            if sum(k - 1 for k in det.orbitals) % 2 == parity:
+                assert abs(c - reference[det]) < 1e-14
+            else:
+                assert c == 0.0
+                assert abs(reference[det]) < 1e-15
+
+    @pytest.mark.parametrize("g", [1, 2, 19, 42, 43, 57, 150, 151, 160])
+    def test_gauss_hermite_grid_is_mirror_symmetric(self, g):
+        # the fold needs the grid symmetric bit for bit, centre node at 0
+        t, w = harmonium._gh_nodes(g)
+        assert np.array_equal(t, -t[::-1])
+        assert np.array_equal(w, w[::-1])
+        if g % 2:
+            assert t[g // 2] == 0.0
 
     @pytest.mark.parametrize("n,kappa,basis", [(2, 0.25, 10), (3, 0.2, 10), (4, 0.15, 9)])
     def test_matches_full_tensor_projection(self, n, kappa, basis):
@@ -219,6 +251,10 @@ class TestNonCurveAndScan:
         result = quasipinning_scan([0.01], quad=QuadratureSpec(basis_size=12))
         assert result.points[0].precision_floor
         assert result.points[0].d_value < 1e-16
+
+    def test_scan_points_are_library_points(self):
+        quad = QuadratureSpec(basis_size=12)
+        assert quasipinning_scan([0.2], quad=quad).points == (harmonium.point(0.2, 3, quad),)
 
     def test_scan_points_sorted_and_reproducible(self):
         quad = QuadratureSpec(basis_size=12)
@@ -339,3 +375,88 @@ class TestNystromKernelOracle:
         kernel_lams = nystrom_occupations(0.2)
         assert float(kernel_lams.sum()) == pytest.approx(3.0, abs=1e-10)
         assert np.max(np.abs(kernel_lams[:6] - lams[:6])) < 1e-8
+
+
+def mp_gauss_hermite(g):
+    """Nodes and weights of the g-point Gauss-Hermite rule (weight exp(-t^2))
+    from the eigenpairs of its Jacobi matrix, at the working mpmath precision."""
+    jac = mpmath.zeros(g, g)
+    for k in range(1, g):
+        jac[k - 1, k] = jac[k, k - 1] = mpmath.sqrt(mpmath.mpf(k) / 2)
+    nodes, vecs = mpmath.eigsy(jac)
+    return ([nodes[i] for i in range(g)],
+            [mpmath.sqrt(mpmath.pi) * vecs[0, i] ** 2 for i in range(g)])
+
+
+def mp_hermite_polynomials(count, x):
+    """phi_k(x) * exp(x^2 / 2) for k < count, the polynomial parts of the
+    oscillator eigenfunctions."""
+    out = [mpmath.pi ** mpmath.mpf(-0.25)]
+    if count > 1:
+        out.append(mpmath.sqrt(2) * x * out[0])
+    for k in range(1, count - 1):
+        out.append(mpmath.sqrt(mpmath.mpf(2) / (k + 1)) * x * out[k]
+                   - mpmath.sqrt(mpmath.mpf(k) / (k + 1)) * out[k - 1])
+    return out
+
+
+def mp_det(rows):
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        term = (-1) ** sum(1 for i, j in itertools.combinations(perm, 2) if i > j)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def mpmath_amplitudes(n, kappa, d_basis, dps=34):
+    """Independent oracle with no grid in x_1..x_n.
+
+    Psi = c0 * prod_{i<j}(x_i - x_j) * exp(a*S^2 - c2*x.x) with a = -c1 and
+    S = sum x.  exp(a*S^2) = int exp(-u^2 + 2*sqrt(a)*u*S) du / sqrt(pi)
+    factorises the Gaussian over particles, and the Vandermonde factor
+    (-1)^(n(n-1)/2) * det[x_i^j] turns the projection onto levels K into
+    det M(u)[K, :] with M(u)[k, j] = int phi_k(x) x^j exp(-c2*x^2 +
+    2*sqrt(a)*u*x) dx.  Completing the square leaves exp(-(1 - xi)*u^2) times
+    a polynomial in u, xi = (omega_rel - 1)/(omega_rel + 1), so both the
+    u-integral and the x-integrals are exact Gauss-Hermite sums.  Constant
+    factors (c0 among them) cancel in the final normalisation.
+    """
+    with mpmath.workdps(dps):
+        omega = mpmath.sqrt(1 + 2 * mpmath.mpf(kappa))
+        a = (omega - 1) / (2 * n)
+        p = (omega + 1) / 2  # c2 + 1/2, the x-exponent with phi_k's Gaussian
+        xi = n * a / p
+        tx, wx = mp_gauss_hermite((d_basis + n - 2) // 2 + 1)
+        tu, wu = mp_gauss_hermite((n * d_basis - n) // 2 + 1)
+        combos = list(itertools.combinations(range(d_basis), n))
+        amps = dict.fromkeys(combos, mpmath.mpf(0))
+        for v, w_u in zip(tu, wu):
+            centre = mpmath.sqrt(a) * v / (mpmath.sqrt(1 - xi) * p)
+            m = [[mpmath.mpf(0)] * n for _ in range(d_basis)]
+            for t, w_x in zip(tx, wx):
+                x = centre + t / mpmath.sqrt(p)
+                for k, poly in enumerate(mp_hermite_polynomials(d_basis, x)):
+                    for j in range(n):
+                        m[k][j] += w_x * poly * x ** j
+            for combo in combos:
+                amps[combo] += w_u * mp_det([m[k] for k in combo])
+        scale = (-1) ** (n * (n - 1) // 2) / mpmath.sqrt(sum(c * c for c in amps.values()))
+        return {SlaterDeterminant.from_orbitals([k + 1 for k in combo]): c * scale
+                for combo, c in amps.items()}
+
+
+class TestHighPrecisionOracle:
+    @pytest.mark.parametrize("n,kappa,basis", [(3, 1.0 / 3.0, 10), (3, 0.2, 10), (2, 0.25, 12)])
+    def test_folded_amplitudes_match_34_digit_oracle(self, n, kappa, basis):
+        state, _ = expand_in_hermite_basis(HarmoniumParams(n=n, kappa=kappa),
+                                           QuadratureSpec(basis_size=basis))
+        reference = mpmath_amplitudes(n, kappa, basis)
+        assert state.amplitudes.keys() == reference.keys()
+        parity = n * (n - 1) // 2 % 2
+        for det, c in state.amplitudes.items():
+            assert abs(c - float(reference[det])) < 1e-14
+            if sum(k - 1 for k in det.orbitals) % 2 != parity:
+                assert c == 0.0
+                assert abs(reference[det]) < 1e-30
