@@ -113,9 +113,12 @@ def hermite_functions(count: int, x: np.ndarray) -> np.ndarray:
     out[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
     if count > 1:
         out[1] = math.sqrt(2.0) * x * out[0]
-    for k in range(1, count - 1):
-        out[k + 1] = (math.sqrt(2.0 / (k + 1)) * x * out[k]
-                      - math.sqrt(k / (k + 1.0)) * out[k - 1])
+    scratch = np.empty_like(x)
+    for k in range(1, count - 1):  # out[k+1] = sqrt(2/(k+1))*x*out[k] - sqrt(k/(k+1))*out[k-1]
+        np.multiply(math.sqrt(2.0 / (k + 1)), x, out=scratch)
+        np.multiply(scratch, out[k], out=out[k + 1])
+        np.multiply(math.sqrt(k / (k + 1.0)), out[k - 1], out=scratch)
+        np.subtract(out[k + 1], scratch, out=out[k + 1])
     return out
 
 
@@ -339,20 +342,20 @@ def expand_in_hermite_basis(params: HarmoniumParams,
                         tensor[head][r::2, cols[s]] += lead @ pairs[s].T
 
     scale = 2.0 * math.sqrt(math.factorial(n))  # the fold's factor 2 is exact
-    amplitudes = {}
-    weight = 0.0
-    for levels in itertools.combinations(range(d_basis), n):
-        c = scale * tensor[levels[:-2] + (pair_of[levels[-2], levels[-1]],)]
-        weight += c * c
-        amplitudes[SlaterDeterminant.from_orbitals([lv + 1 for lv in levels])] = c
+    levels = np.array(list(itertools.combinations(range(d_basis), n)))
+    amplitudes = scale * tensor[tuple(levels[:, :-2].T) + (pair_of[levels[:, -2], levels[:, -1]],)]
+    # accumulate adds in sequence, in the order of the combinations
+    weight = float(np.add.accumulate(amplitudes * amplitudes)[-1])
     deficit = 1.0 - weight
     if deficit > deficit_tol:
         raise BasisDeficitError(
             f"norm deficit {deficit:.3e} exceeds {deficit_tol:.1e}; "
             f"increase basis_size beyond {d_basis}")
     renorm = 1.0 / math.sqrt(weight)
+    masks = np.bitwise_or.reduce(np.left_shift(np.uint64(1), levels.astype(np.uint64)), axis=1)
     state = FermionState(OrbitalSpace(d=d_basis, n=n),
-                         {det: c * renorm for det, c in amplitudes.items()})
+                         dict(zip(map(SlaterDeterminant, masks.tolist()),
+                                  (amplitudes * renorm).tolist())))
     return state, float(deficit)
 
 
