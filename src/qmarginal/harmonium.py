@@ -106,10 +106,14 @@ def _gh_nodes(g: int) -> tuple[np.ndarray, np.ndarray]:
     return t, np.exp(np.log(w) + t * t)
 
 
-def hermite_functions(count: int, x: np.ndarray) -> np.ndarray:
-    """Frequency-1 oscillator eigenfunctions phi_0..phi_{count-1} at x."""
+def hermite_functions(count: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Frequency-1 oscillator eigenfunctions phi_0..phi_{count-1} at x.
+
+    Written into `out`, shape (count, x.size), when it is given.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.empty((count, x.size))
+    if out is None:
+        out = np.empty((count, x.size))
     out[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
     if count > 1:
         out[1] = math.sqrt(2.0) * x * out[0]
@@ -300,6 +304,9 @@ def expand_in_hermite_basis(params: HarmoniumParams,
     tensor = np.zeros((d_basis,) * (n - 2) + (sizes[0] + sizes[1],))
     m_half = g ** n // 2
     width = min(_BLOCK, _CHUNK, m_half)
+    # buffers reused by every chunk and block: fresh ones cost a page fault
+    # per 4 KiB touched
+    phi_buf = np.empty((n, d_basis, min(_CHUNK, m_half)))
     pair_buf = [np.empty((size, width)) for size in sizes]
     lead_buf = np.empty(((d_basis + 1) // 2, width))
     with one_blas_thread():
@@ -315,12 +322,13 @@ def expand_in_hermite_basis(params: HarmoniumParams,
                 wnode = wnode * axes_w[a][part]
             x = q @ y
             values = wnode * wavefunction(spec, x.T)
-            phis = [hermite_functions(d_basis, x[i]) for i in range(n)]
+            phis = [hermite_functions(d_basis, x[i], out=phi_buf[i, :, :idx.size])
+                    for i in range(n)]
             for first in range(0, idx.size, _BLOCK):
                 nodes = slice(first, first + _BLOCK)
                 nb = min(_BLOCK, idx.size - first)
                 phi_lo, phi_hi = phis[n - 2][:, nodes], phis[n - 1][:, nodes]
-                pairs = [None, None]
+                pairs = {}
                 for s in needed:  # pair products row by row into the buffer
                     buf, row = pair_buf[s][:, :nb], 0
                     for lo in range(d_basis - 1):
