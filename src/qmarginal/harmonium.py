@@ -352,7 +352,8 @@ def expand_in_hermite_basis(params: HarmoniumParams,
     scale = 2.0 * math.sqrt(math.factorial(n))  # the fold's factor 2 is exact
     levels = np.array(list(itertools.combinations(range(d_basis), n)))
     amplitudes = scale * tensor[tuple(levels[:, :-2].T) + (pair_of[levels[:, -2], levels[:, -1]],)]
-    # accumulate adds in sequence, in the order of the combinations
+    # np.add.accumulate adds in sequence like a plain loop; np.sum's pairwise
+    # order would move the last digits of every amplitude
     weight = float(np.add.accumulate(amplitudes * amplitudes)[-1])
     deficit = 1.0 - weight
     if deficit > deficit_tol:
