@@ -208,7 +208,9 @@ class TestOneRDM:
         rng = np.random.default_rng(11)
         basis = enumerate_slaters(space)
         support = set(rng.choice(len(basis), 40, replace=False).tolist())
-        values = rng.standard_normal(len(basis)) + 1j * complex_amps * rng.standard_normal(len(basis))
+        values = rng.standard_normal(len(basis))
+        if complex_amps:
+            values = values + 1j * rng.standard_normal(len(basis))
         values /= np.linalg.norm(values[sorted(support)])
         zeros = (0.0, -0.0, 0j)
         padded = FermionState(space, {det: (values[i] if i in support else zeros[i % 3])
