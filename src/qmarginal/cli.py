@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -22,6 +21,8 @@ DEFAULT_SEED = 42
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_PRECISION_FLOOR = 3
+# hz without --pi checks all 2^dim sequences; the time doubles with each dimension
+HZ_ALL_SEQUENCES_MAX_DIM = 12
 
 
 def _fmt(x: float) -> str:
@@ -161,10 +162,10 @@ def cmd_gpc(args, out) -> int:
     return EXIT_OK
 
 
-def _scan_rows(points) -> list[dict]:
-    return [{"kappa": p.kappa, "D": p.d_value, "hf_dist": p.hf_distance,
-             "eps6": p.eps6, "norm_deficit": p.norm_deficit,
-             "precision_floor": p.precision_floor} for p in points]
+def _point_row(p: harmonium.ScanPoint) -> dict:
+    return {"kappa": p.kappa, "D": p.d_value, "hf_dist": p.hf_distance,
+            "eps6": p.eps6, "norm_deficit": p.norm_deficit,
+            "precision_floor": p.precision_floor}
 
 
 def _scan_csv(points) -> str:
@@ -178,13 +179,10 @@ def _scan_csv(points) -> str:
 def cmd_harmonium(args, out) -> int:
     if (args.kappa is None) == (args.scan is None):
         raise ValueError("provide exactly one of --kappa or --scan")
-    quad = harmonium.QuadratureSpec(basis_size=args.basis, nodes=args.nodes)
+    quad = harmonium.QuadratureSpec(basis_size=args.basis)
     if args.kappa is not None:
         point = harmonium.point(args.kappa, args.n, quad)
-        payload = {"kappa": point.kappa, "D": point.d_value,
-                   "hf_dist": point.hf_distance, "eps6": point.eps6,
-                   "norm_deficit": point.norm_deficit,
-                   "precision_floor": point.precision_floor,
+        payload = {**_point_row(point),
                    "basis_size": quad.basis_size, "nodes": quad.node_count(args.n)}
         if args.json:
             _emit(out, dumps(payload))
@@ -205,7 +203,7 @@ def cmd_harmonium(args, out) -> int:
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as handle:
             handle.write(csv_text)
-    summary = {"points": _scan_rows(result.points),
+    summary = {"points": [_point_row(p) for p in result.points],
                "d_exponent": result.d_slope, "hf_exponent": result.hf_slope,
                "basis_size": result.basis_size, "nodes": result.nodes,
                "precision_floor": result.floor}
@@ -277,6 +275,9 @@ def cmd_hz(args, out) -> int:
     d = args.dim
     if d < 1:
         raise ValueError(f"--dim must be at least 1, got {d}")
+    if not args.pi and d > HZ_ALL_SEQUENCES_MAX_DIM:
+        raise ValueError(f"checking all 2^{d} binary sequences is too costly; "
+                         f"give one with --pi or use --dim <= {HZ_ALL_SEQUENCES_MAX_DIM}")
     rng = np.random.default_rng([args.seed, 0])
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = (g + g.conj().T) / 2.0
@@ -351,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=3, help="particle number")
     p.add_argument("--basis", type=int, default=harmonium.DEFAULT_BASIS_SIZE,
                    help="1-particle basis size")
-    p.add_argument("--nodes", type=int, default=None, help="quadrature nodes per axis")
     p.add_argument("--csv", help="also write the scan table to this file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_harmonium)
@@ -367,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hz", help="eigenvalue-sum variational principle checks")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--pi", help="single binary sequence; default: all of them")
+    p.add_argument("--pi", help="single binary sequence; default: all 2^dim of them, "
+                   f"for --dim <= {HZ_ALL_SEQUENCES_MAX_DIM}")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--json", action="store_true")

@@ -18,8 +18,11 @@ import numpy as np
 from .linalg import jacobi_eigh
 
 MAX_ORBITALS = 64
-DEFAULT_BASIS_CAP = 10 ** 6
+BASIS_CAP = 10 ** 6
 NORM_TOL = 1e-12
+RDM_NORM_TOL = 1e-8
+HERMITIAN_TOL = 1e-10
+UNITARY_TOL = 1e-10
 STATE_AMPLITUDE_CUTOFF = 1e-14
 _RDM_BLOCK = 1 << 16  # (determinant, j, k) excitations per one_rdm block
 
@@ -85,11 +88,11 @@ class SlaterDeterminant:
         return "|" + ",".join(str(k) for k in self.orbitals) + ">"
 
 
-def enumerate_slaters(space: OrbitalSpace, cap: int = DEFAULT_BASIS_CAP) -> list[SlaterDeterminant]:
+def enumerate_slaters(space: OrbitalSpace) -> list[SlaterDeterminant]:
     """All n-fermion determinants, ascending by bitmask value (deterministic)."""
     size = space.basis_size
-    if size > cap:
-        raise CapacityError(f"basis size C({space.d},{space.n}) = {size} exceeds cap {cap}")
+    if size > BASIS_CAP:
+        raise CapacityError(f"basis size C({space.d},{space.n}) = {size} exceeds cap {BASIS_CAP}")
     out = []
     v = (1 << space.n) - 1
     limit = 1 << space.d
@@ -146,15 +149,13 @@ class FermionState:
             raise ValueError(f"state not normalized: |c|^2 = {self.norm_squared()!r}")
 
     @classmethod
-    def from_amplitudes(cls, space: OrbitalSpace, amplitudes: Mapping,
-                        normalize: bool = True) -> "FermionState":
+    def from_amplitudes(cls, space: OrbitalSpace, amplitudes: Mapping) -> "FermionState":
+        """The normalized state with these (nonzero) amplitudes."""
         amps = {det: complex(c) for det, c in amplitudes.items() if c != 0}
-        if normalize:
-            norm = math.sqrt(sum(abs(c) ** 2 for c in amps.values()))
-            if norm == 0.0:
-                raise ValueError("cannot normalize the zero state")
-            amps = {det: c / norm for det, c in amps.items()}
-        return cls(space, amps)
+        norm = math.sqrt(sum(abs(c) ** 2 for c in amps.values()))
+        if norm == 0.0:
+            raise ValueError("cannot normalize the zero state")
+        return cls(space, {det: c / norm for det, c in amps.items()})
 
     def norm_squared(self) -> float:
         return sum(abs(c) ** 2 for c in self.amplitudes.values())
@@ -171,12 +172,12 @@ def random_state(space: OrbitalSpace, rng: np.random.Generator) -> FermionState:
     return FermionState(space, dict(zip(basis, c)))
 
 
-def one_rdm(state: FermionState, norm_tol: float = 1e-8) -> np.ndarray:
+def one_rdm(state: FermionState) -> np.ndarray:
     """1-particle reduced density matrix, rho[j-1, k-1] = <a_k^dag a_j>.
 
     Hermitian, positive semidefinite, trace n.
     """
-    if abs(state.norm_squared() - 1.0) > norm_tol:
+    if abs(state.norm_squared() - 1.0) > RDM_NORM_TOL:
         raise ValueError("state norm deviates from 1 beyond tolerance")
     d, n = state.space.d, state.space.n
     m = len(state.amplitudes)
@@ -223,20 +224,19 @@ def one_rdm(state: FermionState, norm_tol: float = 1e-8) -> np.ndarray:
     return rho.reshape(d, d)
 
 
-def natural_occupations(rdm: np.ndarray, herm_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def natural_occupations(rdm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Decreasing eigenvalues of a 1-RDM and the natural orbitals (columns).
 
     Within a degenerate block the orbital order is whatever the eigensolver
     produces; only the occupation values are contractual.
     """
     rdm = np.asarray(rdm)
-    if np.max(np.abs(rdm - rdm.conj().T)) > herm_tol:
+    if np.max(np.abs(rdm - rdm.conj().T)) > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     return jacobi_eigh(rdm)
 
 
-def rotate_orbitals(state: FermionState, u: np.ndarray,
-                    unitary_tol: float = 1e-10) -> FermionState:
+def rotate_orbitals(state: FermionState, u: np.ndarray) -> FermionState:
     """Transform amplitudes under the 1-particle basis change u.
 
     The wedge-space action sends c_J to sum_I det(u[J, I]) c_I over the
@@ -246,7 +246,7 @@ def rotate_orbitals(state: FermionState, u: np.ndarray,
     u = np.asarray(u, dtype=complex)
     if u.shape != (d, d):
         raise ValueError(f"expected a {d}x{d} matrix, got {u.shape}")
-    if np.max(np.abs(u.conj().T @ u - np.eye(d))) > unitary_tol:
+    if np.max(np.abs(u.conj().T @ u - np.eye(d))) > UNITARY_TOL:
         raise ValueError("matrix is not unitary within tolerance")
 
     src = [(det, c) for det, c in state.amplitudes.items() if c != 0]
@@ -261,43 +261,18 @@ def rotate_orbitals(state: FermionState, u: np.ndarray,
         if value != 0:
             out[target] = complex(value)
     total = sum(abs(c) ** 2 for c in out.values())
-    if abs(total - 1.0) > unitary_tol:
+    if abs(total - 1.0) > UNITARY_TOL:
         raise ValueError(f"rotation failed to preserve the norm: |c|^2 = {total!r}")
     scale = 1.0 / math.sqrt(total)
     return FermionState(state.space, {det: c * scale for det, c in out.items()})
 
 
-def restricted_ground_state(h: np.ndarray, allowed: list[SlaterDeterminant],
-                            space: OrbitalSpace) -> tuple[float, FermionState]:
-    """Lowest eigenpair of h restricted to span(allowed).
-
-    h is indexed by enumerate_slaters(space) order.  The restricted energy is
-    a variational upper bound that can only drop as `allowed` grows.
-    """
-    if not allowed:
-        raise ValueError("allowed determinant list is empty")
-    basis = enumerate_slaters(space)
-    h = np.asarray(h)
-    if h.shape != (len(basis), len(basis)):
-        raise ValueError(f"expected h over the full basis, shape {(len(basis),) * 2}")
-    if np.max(np.abs(h - h.conj().T)) > 1e-10:
-        raise ValueError("hamiltonian matrix is not Hermitian within tolerance")
-    position = {det: i for i, det in enumerate(basis)}
-    idx = [position[det] for det in allowed]
-    sub = h[np.ix_(idx, idx)]
-    lams, vecs = np.linalg.eigh(sub)
-    ground = vecs[:, 0]
-    state = FermionState.from_amplitudes(
-        space, {det: ground[i] for i, det in enumerate(allowed)})
-    return float(lams[0]), state
-
-
-def write_state_json(state: FermionState, fp, cutoff: float = STATE_AMPLITUDE_CUTOFF) -> None:
-    """Serialize a state; amplitudes below `cutoff` in magnitude are dropped."""
+def write_state_json(state: FermionState, fp) -> None:
+    """Serialize a state; amplitudes below STATE_AMPLITUDE_CUTOFF in magnitude are dropped."""
     entries = []
     for det in sorted(state.amplitudes):
         c = state.amplitudes[det]
-        if abs(c) > cutoff:
+        if abs(c) > STATE_AMPLITUDE_CUTOFF:
             entries.append({"orbitals": list(det.orbitals),
                             "re": float(np.real(c)), "im": float(np.imag(c))})
     doc = {"d": state.space.d, "n": state.space.n, "amplitudes": entries}
@@ -329,4 +304,4 @@ def read_state_json(fp) -> FermionState:
         if det in amps:
             raise ValueError(f"duplicate determinant {det}")
         amps[det] = complex(float(entry["re"]), float(entry.get("im", 0.0)))
-    return FermionState.from_amplitudes(space, amps, normalize=True)
+    return FermionState.from_amplitudes(space, amps)

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 DEFAULT_PIN_TOL = 1e-8
-DEFAULT_EQ_TOL = 1e-6
+EQ_TOL = 1e-6
 QUASIPINNING_THRESHOLDS = (1e-2, 1e-4, 1e-6)
 
 
@@ -155,13 +155,11 @@ class PinningReport:
 
 def pinning_report(lams: Sequence[float], cat: ConstraintCatalog,
                    pin_tol: float = DEFAULT_PIN_TOL,
-                   eq_tol: float = DEFAULT_EQ_TOL,
-                   truncation_weight: float | None = None,
-                   quasi_thresholds: Sequence[float] = QUASIPINNING_THRESHOLDS) -> PinningReport:
+                   truncation_weight: float | None = None) -> PinningReport:
     """Evaluate every catalog constraint on lams and flag (quasi)pinning.
 
     d_min is the smallest facet-inequality value, the distance-to-boundary
-    measure of the quasipinning analysis.  Equalities violated beyond eq_tol
+    measure of the quasipinning analysis.  Equalities violated beyond EQ_TOL
     are flagged, never rejected, so truncated spectra remain analyzable.
     """
     lams = np.asarray(lams, dtype=float)
@@ -178,7 +176,7 @@ def pinning_report(lams: Sequence[float], cat: ConstraintCatalog,
         values.append((c.label, c.kind, v))
         if c.kind == "eq":
             eq_residuals[c.label] = v
-            if abs(v) > eq_tol:
+            if abs(v) > EQ_TOL:
                 eq_violations.append(c.label)
             elif abs(v) <= pin_tol and c.label != "norm":
                 saturated.append(c)
@@ -201,7 +199,7 @@ def pinning_report(lams: Sequence[float], cat: ConstraintCatalog,
         hf_distance=float(np.linalg.norm(hf)),
         pin_tol=pin_tol,
         truncation_weight=truncation_weight,
-        quasipinning=tuple((float(t), bool(d_min <= t)) for t in quasi_thresholds),
+        quasipinning=tuple((float(t), bool(d_min <= t)) for t in QUASIPINNING_THRESHOLDS),
     )
 
 

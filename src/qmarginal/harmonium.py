@@ -22,7 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import FermionState, OrbitalSpace, SlaterDeterminant, one_rdm, natural_occupations
+from .fock import (MAX_ORBITALS, FermionState, OrbitalSpace, SlaterDeterminant, one_rdm,
+                   natural_occupations)
 from .gpc import catalog, evaluate, pinning_report, truncate_spectrum
 from .linalg import one_blas_thread
 
@@ -76,14 +77,18 @@ class QuadratureSpec:
     nodes: int | None = None  # per-axis Gauss-Hermite nodes; None = exactness minimum
 
     def __post_init__(self):
-        if self.basis_size < 1:
-            raise ValueError("basis_size must be positive")
+        if not 1 <= self.basis_size <= MAX_ORBITALS:
+            raise ValueError(f"basis_size must lie in [1, {MAX_ORBITALS}], got {self.basis_size}")
 
     def node_count(self, n: int) -> int:
-        if self.nodes is not None:
-            return self.nodes
         degree = n * (self.basis_size - 1) + n * (n - 1) // 2
-        return (degree + 2) // 2  # smallest G with 2G-1 >= degree
+        exact = (degree + 2) // 2  # smallest G with 2G-1 >= degree
+        if self.nodes is None:
+            return exact
+        if self.nodes < exact:
+            raise ValueError(f"{self.nodes} nodes per axis are too few for an exact rule "
+                             f"at n={n}, basis_size={self.basis_size}; need at least {exact}")
+        return self.nodes
 
 
 def _helmert(n: int) -> np.ndarray:
@@ -257,8 +262,7 @@ def ground_state_residual(params: HarmoniumParams) -> tuple[float, float]:
 
 
 def expand_in_hermite_basis(params: HarmoniumParams,
-                            quad: QuadratureSpec | None = None,
-                            deficit_tol: float = DEFICIT_TOL) -> tuple[FermionState, float]:
+                            quad: QuadratureSpec | None = None) -> tuple[FermionState, float]:
     """Wedge amplitudes over frequency-1 Hermite determinants.
 
     Returns the normalized state and the norm deficit 1 - |c|^2 measuring the
@@ -356,9 +360,9 @@ def expand_in_hermite_basis(params: HarmoniumParams,
     # order would move the last digits of every amplitude
     weight = float(np.add.accumulate(amplitudes * amplitudes)[-1])
     deficit = 1.0 - weight
-    if deficit > deficit_tol:
+    if deficit > DEFICIT_TOL:
         raise BasisDeficitError(
-            f"norm deficit {deficit:.3e} exceeds {deficit_tol:.1e}; "
+            f"norm deficit {deficit:.3e} exceeds {DEFICIT_TOL:.1e}; "
             f"increase basis_size beyond {d_basis}")
     renorm = 1.0 / math.sqrt(weight)
     masks = np.bitwise_or.reduce(np.left_shift(np.uint64(1), levels.astype(np.uint64)), axis=1)
@@ -366,29 +370,6 @@ def expand_in_hermite_basis(params: HarmoniumParams,
                          dict(zip(map(SlaterDeterminant, masks.tolist()),
                                   (amplitudes * renorm).tolist())))
     return state, float(deficit)
-
-
-@dataclass(frozen=True)
-class NonCurvePoint:
-    kappa: float
-    occupations: np.ndarray  # full decreasing spectrum, length basis_size
-    eps6: float              # weight dropped by truncating to 6 occupations
-    norm_deficit: float
-
-
-def non_curve(kappas: Sequence[float], n: int = 3,
-              quad: QuadratureSpec | None = None) -> list[NonCurvePoint]:
-    """Natural occupation spectra along an interaction-strength grid."""
-    if len(kappas) == 0:
-        raise ValueError("empty kappa grid")
-    quad = quad or QuadratureSpec()
-    points = []
-    for kappa in kappas:
-        state, deficit = expand_in_hermite_basis(HarmoniumParams(n=n, kappa=float(kappa)), quad)
-        lams, _ = natural_occupations(one_rdm(state))
-        _, eps6 = truncate_spectrum(lams, min(6, lams.size))
-        points.append(NonCurvePoint(float(kappa), lams, eps6, deficit))
-    return points
 
 
 @dataclass(frozen=True)

@@ -25,12 +25,12 @@ _MAX_SWEEPS = 64
 _ABS_FLOOR = 2.3e-308
 
 
-def jacobi_eigh(a: np.ndarray, rel_tol: float = _REL_TOL) -> tuple[np.ndarray, np.ndarray]:
+def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and eigenvectors of a Hermitian matrix.
 
     Returns ``(lams, v)`` with ``a @ v[:, i] = lams[i] * v[:, i]``; columns of
     ``v`` are orthonormal.  Rotations are skipped once the off-diagonal entry
-    is below ``rel_tol * sqrt(|a_pp * a_qq|)``, the Demmel-Veselic criterion
+    is below ``_REL_TOL * sqrt(|a_pp * a_qq|)``, the Demmel-Veselic criterion
     that preserves relative accuracy for graded matrices.
     """
     a = np.asarray(a)
@@ -53,7 +53,7 @@ def jacobi_eigh(a: np.ndarray, rel_tol: float = _REL_TOL) -> tuple[np.ndarray, n
                 absg = abs(g)
                 if absg < _ABS_FLOOR:
                     continue
-                if absg <= rel_tol * math.sqrt(abs(w[p, p].real * w[q, q].real)):
+                if absg <= _REL_TOL * math.sqrt(abs(w[p, p].real * w[q, q].real)):
                     continue
                 rotated = True
                 phase = g / absg

@@ -18,9 +18,13 @@ from typing import Sequence
 import numpy as np
 
 ORTHO_TOL = 1e-10
+GAP_TOL = 1e-10
 RANK_TOL_FACTOR = 1e-8
 # singular values within a decade of the threshold are reported, not guessed
 RANK_GUARD = 10.0
+HZ_VALUE_TOL = 1e-10
+HZ_SAMPLE_TOL = 1e-9
+INEQUALITY_MARGIN = 1e-10
 
 
 class DegenerateSpectrumError(ValueError):
@@ -57,10 +61,10 @@ def standard_flag(d: int) -> Flag:
     return Flag(np.eye(d, dtype=complex))
 
 
-def induced_flag(a: np.ndarray, gap_tol: float = 1e-10) -> Flag:
+def induced_flag(a: np.ndarray) -> Flag:
     """Flag of eigenvectors ordered by decreasing eigenvalue.
 
-    Requires a non-degenerate spectrum (minimal gap above gap_tol); the
+    Requires a non-degenerate spectrum (minimal gap above GAP_TOL); the
     ordering, hence the flag, is undefined otherwise.
     """
     a = np.asarray(a)
@@ -69,9 +73,9 @@ def induced_flag(a: np.ndarray, gap_tol: float = 1e-10) -> Flag:
     lams, vecs = np.linalg.eigh(a)
     lams, vecs = lams[::-1], vecs[:, ::-1]
     gaps = -np.diff(lams)
-    if gaps.size and np.min(gaps) <= gap_tol:
+    if gaps.size and np.min(gaps) <= GAP_TOL:
         raise DegenerateSpectrumError(
-            f"spectral gap {np.min(gaps):.3e} at or below {gap_tol:.1e}")
+            f"spectral gap {np.min(gaps):.3e} at or below {GAP_TOL:.1e}")
     return Flag(vecs.astype(complex))
 
 
@@ -85,11 +89,11 @@ def _check_frame(frame: np.ndarray, d: int) -> np.ndarray:
     return frame
 
 
-def _rank(matrix: np.ndarray, rank_tol: float) -> int:
+def _rank(matrix: np.ndarray) -> int:
     if matrix.shape[1] == 0:
         return 0
     sing = np.linalg.svd(matrix, compute_uv=False)
-    threshold = rank_tol * sing[0] if sing[0] > 0 else rank_tol
+    threshold = RANK_TOL_FACTOR * sing[0] if sing[0] > 0 else RANK_TOL_FACTOR
     near = (sing > threshold / RANK_GUARD) & (sing < threshold * RANK_GUARD)
     if np.any(near):
         raise IndeterminateRankError(
@@ -106,8 +110,7 @@ def _validate_pi(pi: Sequence[int], d: int) -> tuple[int, ...]:
     return pi
 
 
-def schubert_membership(frame: np.ndarray, flag: Flag, pi: Sequence[int],
-                        rank_tol: float = RANK_TOL_FACTOR) -> bool:
+def schubert_membership(frame: np.ndarray, flag: Flag, pi: Sequence[int]) -> bool:
     """Whether span(frame) has the intersection-jump pattern pi against flag.
 
     dim(V intersect F_i) is computed as dim V + i - rank([frame | F_i]); rank
@@ -123,7 +126,7 @@ def schubert_membership(frame: np.ndarray, flag: Flag, pi: Sequence[int],
     previous = 0
     for i in range(1, d + 1):
         stacked = np.hstack([frame, flag.subspace(i)])
-        dim_cap = k + i - _rank(stacked, rank_tol)
+        dim_cap = k + i - _rank(stacked)
         if dim_cap - previous != pi[i - 1]:
             return False
         previous = dim_cap
@@ -164,10 +167,10 @@ class HZReport:
     min_sampled: float       # smallest Tr[P_V rho] over the sampled cell members
     trials: int
 
-    def passed(self, value_tol: float = 1e-10, sample_tol: float = 1e-9) -> bool:
+    def passed(self) -> bool:
         return (self.candidate_in_cell
-                and abs(self.candidate_value - self.target) <= value_tol
-                and self.min_sampled >= self.target - sample_tol)
+                and abs(self.candidate_value - self.target) <= HZ_VALUE_TOL
+                and self.min_sampled >= self.target - HZ_SAMPLE_TOL)
 
 
 def _projection_value(rho: np.ndarray, frame: np.ndarray) -> float:
@@ -177,7 +180,7 @@ def _projection_value(rho: np.ndarray, frame: np.ndarray) -> float:
 
 
 def hersch_zwahlen_check(rho: np.ndarray, pi: Sequence[int], trials: int = 200,
-                         seed: int = 0, gap_tol: float = 1e-10) -> HZReport:
+                         seed: int = 0) -> HZReport:
     """Verify the variational principle for one binary sequence.
 
     The span of the pi-marked eigenvectors must achieve the eigenvalue sum,
@@ -185,7 +188,7 @@ def hersch_zwahlen_check(rho: np.ndarray, pi: Sequence[int], trials: int = 200,
     generator per trial so results are reproducible and order-independent.
     """
     rho = np.asarray(rho)
-    flag = induced_flag(rho, gap_tol=gap_tol)
+    flag = induced_flag(rho)
     pi = _validate_pi(pi, flag.dim)
     lams = np.sort(np.linalg.eigvalsh(rho))[::-1]
     target = float(np.dot(pi, lams))
@@ -250,8 +253,7 @@ class InequalityVerdict:
 
 def check_spectral_inequality(pi: Sequence[int], sigma: Sequence[int],
                               d_a: int, d_b: int, samples: int = 1000,
-                              seed: int = 0,
-                              margin: float = 1e-10) -> InequalityVerdict:
+                              seed: int = 0) -> InequalityVerdict:
     """Monte-Carlo falsifier for sum pi_j lam_j(A) <= sum sigma_i lam_i(AB).
 
     Alternates full-spectrum mixed states, random-rank mixed states and pure
@@ -275,7 +277,7 @@ def check_spectral_inequality(pi: Sequence[int], sigma: Sequence[int],
         lam_a = np.sort(np.linalg.eigvalsh(partial_trace(rho_ab, d_a, d_b, "A")))[::-1]
         lhs = float(np.dot(pi, lam_a))
         rhs = float(np.dot(sigma, lam_ab))
-        if lhs > rhs + margin:
+        if lhs > rhs + INEQUALITY_MARGIN:
             witness = {"trial": trial, "kind": kind,
                        "lam_a": [float(v) for v in lam_a],
                        "lam_ab": [float(v) for v in lam_ab],

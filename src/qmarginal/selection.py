@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .fock import (FermionState, OrbitalSpace, SlaterDeterminant,
                    enumerate_slaters, natural_occupations, one_rdm,
                    rotate_orbitals)
@@ -23,28 +21,9 @@ from .gpc import PauliConstraint, PinningReport, evaluate
 DEGENERACY_GAP = 1e-10
 
 
-@dataclass(frozen=True)
-class DOperator:
-    """Diagonal operator kappa0 + sum_k kappa_k n_k over the Slater basis."""
-
-    constraint: PauliConstraint
-    space: OrbitalSpace
-    diagonal: dict  # SlaterDeterminant -> int
-
-    def value(self, det: SlaterDeterminant) -> int:
-        return slater_value(self.constraint, det)
-
-
 def slater_value(constraint: PauliConstraint, det: SlaterDeterminant) -> int:
     """Integer eigenvalue of the constraint operator on one determinant."""
     return constraint.kappa0 + sum(constraint.kappas[k - 1] for k in det.orbitals)
-
-
-def d_operator(constraint: PauliConstraint, space: OrbitalSpace) -> DOperator:
-    if constraint.dim != space.d:
-        raise ValueError(f"constraint over d={constraint.dim}, space has d={space.d}")
-    diag = {det: slater_value(constraint, det) for det in enumerate_slaters(space)}
-    return DOperator(constraint, space, diag)
 
 
 def zero_eigenspace_slaters(constraints, space: OrbitalSpace) -> list[SlaterDeterminant]:
@@ -88,8 +67,7 @@ class PinningLemmaReport:
 
 
 def verify_pinning_lemma(state: FermionState, constraint: PauliConstraint,
-                         tol: float = 1e-8,
-                         degeneracy_gap: float = DEGENERACY_GAP) -> PinningLemmaReport:
+                         tol: float = 1e-8) -> PinningLemmaReport:
     """Check that pinning of the occupations kills the operator residual.
 
     The state is rotated into its natural-orbital basis internally.  When a
@@ -106,7 +84,7 @@ def verify_pinning_lemma(state: FermionState, constraint: PauliConstraint,
     degenerate = False
     start = 0
     for i in range(1, state.space.d + 1):
-        if i == state.space.d or lams[start] - lams[i] > degeneracy_gap:
+        if i == state.space.d or lams[start] - lams[i] > DEGENERACY_GAP:
             block = constraint.kappas[start:i]
             if len(set(block)) > 1:
                 degenerate = degenerate or (i - start) > 1
@@ -130,17 +108,17 @@ def verify_pinning_lemma(state: FermionState, constraint: PauliConstraint,
 
 
 def bd_ansatz_state(space: OrbitalSpace, alpha: complex, beta: complex,
-                    gamma: complex, require_ordering: bool = True) -> FermionState:
+                    gamma: complex) -> FermionState:
     """Three-determinant pinned state alpha|1,2,3> + beta|1,4,5> + gamma|2,4,6>.
 
     The occupation spectrum is sorted iff |alpha|^2 >= |beta|^2 + |gamma|^2 and
-    |beta| >= |gamma|; amplitudes violating that are rejected when
-    require_ordering is set, since the constraint applies to sorted spectra.
+    |beta| >= |gamma|; amplitudes violating that are rejected, since the
+    constraint applies to sorted spectra.
     """
     if space.d != 6 or space.n != 3:
         raise ValueError("the three-determinant ansatz lives in d=6, n=3")
     a2, b2, g2 = abs(alpha) ** 2, abs(beta) ** 2, abs(gamma) ** 2
-    if require_ordering and (a2 < b2 + g2 or b2 < g2):
+    if a2 < b2 + g2 or b2 < g2:
         raise ValueError("amplitudes do not produce a decreasing occupation spectrum")
     return FermionState.from_amplitudes(space, {
         SlaterDeterminant.from_orbitals((1, 2, 3)): alpha,

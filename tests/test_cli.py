@@ -177,6 +177,13 @@ class TestHarmonium:
     def test_requires_kappa_or_scan(self):
         assert run_cli(["harmonium", "--n", "3"])[0] == 2
 
+    def test_no_nodes_flag(self, capsys):
+        # the node count follows from --n and --basis
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["harmonium", "--kappa", "0.2", "--basis", "10", "--nodes", "3"])
+        assert exc.value.code == 2
+        assert "--nodes" in capsys.readouterr().err
+
 
 class TestSchubertCommands:
     def test_hz_all_patterns_pass(self):
@@ -218,6 +225,8 @@ class TestInputsCheckedAtTheBoundary:
         ["selection", "--setting", "3,6", "--saturated", "none", "--pin-tol", "-1"],
         ["hz", "--dim", "0", "--json"],
         ["hz", "--dim=-2", "--json"],
+        ["harmonium", "--kappa", "0.2", "--basis", "65", "--json"],
+        ["hz", "--dim", "13", "--json"],
     ])
     def test_rejected_with_exit_2(self, argv, capsys):
         code, out = run_cli(argv)
@@ -244,12 +253,26 @@ class TestReproducibility:
         assert out_a == out_b
 
 
-def test_cli_import_does_not_load_scipy_special():
-    # a fresh interpreter: this one has scipy loaded by other test modules
+def run_python(args):
+    """Run a fresh interpreter that imports this checkout's package."""
     src = str(Path(qmarginal.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_cli_import_does_not_load_scipy_special():
+    # a fresh interpreter: this one has scipy loaded by other test modules
     probe = "import sys, qmarginal.cli; print('scipy.special' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
-                            capture_output=True, text=True, timeout=60, check=True)
+    result = run_python(["-c", probe])
+    assert result.returncode == 0
     assert result.stdout.strip() == "False"
+
+
+def test_pinned_state_demo_script():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "pinned_state_demo.py"
+    result = run_python([str(script)])
+    assert result.returncode == 0, result.stderr
+    assert "(8 determinants)" in result.stdout
+    assert "(3 determinants)" in result.stdout

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from qmarginal.fock import (CapacityError, FermionState, OrbitalSpace,
                             SlaterDeterminant, apply_annihilator, apply_creator,
                             enumerate_slaters, natural_occupations, one_rdm,
-                            random_state, read_state_json, restricted_ground_state,
-                            rotate_orbitals, write_state_json)
+                            random_state, read_state_json, rotate_orbitals,
+                            write_state_json)
 from qmarginal.harmonium import HarmoniumParams, QuadratureSpec, expand_in_hermite_basis
 
 
@@ -82,7 +82,7 @@ class TestEnumeration:
 
     def test_capacity_cap(self):
         with pytest.raises(CapacityError):
-            enumerate_slaters(OrbitalSpace(d=40, n=20), cap=10 ** 6)
+            enumerate_slaters(OrbitalSpace(d=40, n=20))
 
 
 class TestOperators:
@@ -323,41 +323,6 @@ class TestRotateOrbitals:
         lams_before, _ = natural_occupations(one_rdm(state))
         lams_after, _ = natural_occupations(one_rdm(rotate_orbitals(state, u)))
         assert np.max(np.abs(lams_before - lams_after)) < 1e-9
-
-
-class TestRestrictedGroundState:
-    def _random_h(self, space, seed):
-        size = space.basis_size
-        rng = np.random.default_rng(seed)
-        g = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-        return (g + g.conj().T) / 2.0
-
-    def test_full_basis_is_exact(self):
-        space = OrbitalSpace(d=5, n=2)
-        h = self._random_h(space, 0)
-        energy, state = restricted_ground_state(h, enumerate_slaters(space), space)
-        assert abs(energy - np.linalg.eigvalsh(h)[0]) < 1e-12
-        assert abs(state.norm_squared() - 1.0) < 1e-12
-
-    def test_single_determinant_energy(self):
-        space = OrbitalSpace(d=5, n=2)
-        h = self._random_h(space, 1)
-        basis = enumerate_slaters(space)
-        energy, _ = restricted_ground_state(h, [basis[4]], space)
-        assert abs(energy - h[4, 4].real) < 1e-12
-
-    def test_variational_monotonicity(self):
-        space = OrbitalSpace(d=5, n=2)
-        h = self._random_h(space, 2)
-        basis = enumerate_slaters(space)
-        energies = [restricted_ground_state(h, basis[:k], space)[0]
-                    for k in range(1, len(basis) + 1)]
-        assert all(e1 >= e2 - 1e-12 for e1, e2 in zip(energies, energies[1:]))
-
-    def test_empty_subset_rejected(self):
-        space = OrbitalSpace(d=4, n=2)
-        with pytest.raises(ValueError):
-            restricted_ground_state(np.eye(6), [], space)
 
 
 class TestBorlandDennisEqualities:

@@ -13,7 +13,7 @@ from qmarginal.fock import natural_occupations, one_rdm, SlaterDeterminant
 from qmarginal.gpc import catalog, evaluate, truncate_spectrum
 from qmarginal.harmonium import (BasisDeficitError, HarmoniumParams, QuadratureSpec,
                                  expand_in_hermite_basis, ground_state_residual,
-                                 ground_state_spec, hermite_functions, non_curve,
+                                 ground_state_spec, hermite_functions,
                                  quasipinning_scan, wavefunction)
 
 BD_INEQ = catalog(3, 6).by_label("bd-ineq")
@@ -111,6 +111,22 @@ class TestExpansion:
         with pytest.raises(BasisDeficitError):
             expand_in_hermite_basis(HarmoniumParams(n=3, kappa=0.5),
                                     QuadratureSpec(basis_size=4))
+
+    def test_too_few_nodes_rejected(self):
+        # 3 nodes per axis integrate a basis of 10 inexactly: the expansion ran
+        # and reported a norm deficit of -2.9
+        quad = QuadratureSpec(basis_size=10, nodes=3)
+        with pytest.raises(ValueError, match="too few"):
+            quad.node_count(3)
+        with pytest.raises(ValueError, match="too few"):
+            expand_in_hermite_basis(HarmoniumParams(n=3, kappa=0.2), quad)
+        assert QuadratureSpec(basis_size=10, nodes=16).node_count(3) == 16
+
+    def test_basis_beyond_bitmask_capacity_rejected(self):
+        # at construction, before an expansion that cannot be stored
+        with pytest.raises(ValueError, match="basis_size"):
+            QuadratureSpec(basis_size=65)
+        assert QuadratureSpec(basis_size=64).basis_size == 64
 
     def test_doubling_nodes_changes_nothing(self):
         quad = QuadratureSpec(basis_size=12)
@@ -235,12 +251,6 @@ class TestOccupationSpectra:
 
 
 class TestNonCurveAndScan:
-    def test_non_curve_rows(self):
-        points = non_curve([0.0, 0.1], quad=QuadratureSpec(basis_size=12))
-        assert [p.kappa for p in points] == [0.0, 0.1]
-        assert points[0].eps6 < 1e-12
-        assert points[1].occupations.shape == (12,)
-
     def test_scan_grid_validation(self):
         with pytest.raises(ValueError):
             quasipinning_scan([0.005], quad=QuadratureSpec(basis_size=12))
