@@ -4,13 +4,15 @@ Every command is deterministic: seeds default to a fixed constant, floats are
 emitted with 17 significant digits, and identical invocations produce
 byte-identical output.  Machine-readable JSON goes to stdout under --json
 with any logging kept on stderr.  Exit codes: 0 success, 2 validation error,
-3 numerical-precision floor reached.
+3 numerical-precision floor reached, 141 (128 + SIGPIPE, as a shell reports a
+process that SIGPIPE ended) when the reader closed stdout early.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -21,6 +23,7 @@ DEFAULT_SEED = 42
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_PRECISION_FLOOR = 3
+EXIT_BROKEN_PIPE = 141
 # hz without --pi checks all 2^dim sequences; the time doubles with each dimension
 HZ_ALL_SEQUENCES_MAX_DIM = 12
 
@@ -390,7 +393,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, sys.stdout)
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early, which is no input error: end quietly, with
+        # stdout on devnull so the interpreter's last flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except json.JSONDecodeError as exc:
         print(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
               file=sys.stderr)

@@ -162,6 +162,8 @@ def pinning_report(lams: Sequence[float], cat: ConstraintCatalog,
     measure of the quasipinning analysis.  Equalities violated beyond EQ_TOL
     are flagged, never rejected, so truncated spectra remain analyzable.
     """
+    if not (np.isfinite(pin_tol) and pin_tol >= 0):
+        raise ValueError(f"pin_tol must be a finite number >= 0, got {pin_tol!r}")
     lams = np.asarray(lams, dtype=float)
     if lams.shape != (cat.d,):
         raise ValueError(f"catalog is for d={cat.d}, got length-{lams.size} vector")

@@ -11,10 +11,14 @@ The ground state is projected onto Slater determinants of frequency-1
 oscillator eigenfunctions (so the non-interacting limit is a single
 determinant) with Gauss-Hermite quadrature after rotating to the principal
 axes of the combined Gaussian; node counts are chosen so the rule is exact
-for the polynomial-times-Gaussian integrands.
+for the polynomial-times-Gaussian integrands.  The rule is the Golub-Welsch
+construction from the Jacobi matrix of the Hermite recurrence, with weights
+from the oscillator eigenfunctions themselves (see _gh_nodes), so the module
+needs numpy alone.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -101,14 +105,25 @@ def _helmert(n: int) -> np.ndarray:
     return q
 
 
+@functools.lru_cache(maxsize=None)
 def _gh_nodes(g: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and Gaussian-free weights w*exp(t^2) of the g-point rule."""
-    # imported here: scipy.special takes longer to import than the rest of the
-    # package, and commands without a harmonium expansion never need it
-    from scipy.special import roots_hermite
+    """Nodes and Gaussian-free weights w*exp(t^2) of the g-point Gauss-Hermite rule.
 
-    t, w = roots_hermite(g)
-    return t, np.exp(np.log(w) + t * t)
+    Golub-Welsch (Math. Comp. 23, 221 (1969)): the nodes are the eigenvalues
+    of the Jacobi matrix of the Hermite recurrence, refined by one Newton step
+    on phi_g and symmetrized, and the weight of a node is the Christoffel
+    function 1 / sum_k phi_k(t)^2 of the oscillator eigenfunctions, which
+    carries no Gaussian factor.  Cached per g; the arrays are read-only.
+    """
+    off = np.sqrt(np.arange(1, g) / 2.0)
+    t = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    phi = hermite_functions(g + 1, t)
+    t = t - phi[g] / (math.sqrt(2.0 * g) * phi[g - 1])
+    t = (t - t[::-1]) / 2.0
+    w = 1.0 / np.sum(hermite_functions(g, t) ** 2, axis=0)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
 
 
 def hermite_functions(count: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

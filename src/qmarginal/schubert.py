@@ -12,6 +12,7 @@ not implemented here.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,6 +26,9 @@ RANK_GUARD = 10.0
 HZ_VALUE_TOL = 1e-10
 HZ_SAMPLE_TOL = 1e-9
 INEQUALITY_MARGIN = 1e-10
+# trials sampled and reduced as one stack; bounds the memory of a check
+TRIAL_BLOCK = 256
+_SCREEN_SLACK = 1e-12
 
 
 class DegenerateSpectrumError(ValueError):
@@ -179,13 +183,46 @@ def _projection_value(rho: np.ndarray, frame: np.ndarray) -> float:
     return float(np.real(np.trace(frame.conj().T @ rho @ frame)))
 
 
+@functools.lru_cache(maxsize=8)
+def _trial_normals(seed: int, start: int, stop: int, width: int) -> np.ndarray:
+    """Row t - start holds the first `width` standard normals of default_rng([seed, t])."""
+    rows = np.array([np.random.default_rng([seed, trial]).standard_normal(width)
+                     for trial in range(start, stop)]).reshape(stop - start, width)
+    rows.flags.writeable = False
+    return rows
+
+
+def _sample_cell_frames(flag: Flag, pi: tuple[int, ...], trials: range,
+                        seed: int) -> np.ndarray:
+    """sample_schubert_cell with default_rng([seed, t]) for each trial t, stacked.
+
+    A generator's standard_normal(m) yields the numbers of m scalar calls, so
+    the prefix of each trial's row, scattered over the free echelon entries
+    in the order the scalar sampler draws them (pivot row r ascending, then
+    position j ascending, real part before imaginary), rebuilds its frames.
+    The rows are drawn once for every sequence of the same dimension.
+    """
+    d = flag.dim
+    pivots = [i for i, b in enumerate(pi) if b]
+    free = [(j, r) for r, piv in enumerate(pivots) for j in range(piv) if not pi[j]]
+    normals = _trial_normals(seed, trials.start, trials.stop, 2 * (d // 2) * ((d + 1) // 2))
+    coeff = np.zeros((len(trials), d, len(pivots)), dtype=complex)
+    coeff[:, pivots, range(len(pivots))] = 1.0
+    if free:
+        rows, cols = zip(*free)
+        coeff[:, rows, cols] = normals[:, 0:2 * len(free):2] + 1j * normals[:, 1:2 * len(free):2]
+    q, _ = np.linalg.qr(flag.basis @ coeff)
+    return q
+
+
 def hersch_zwahlen_check(rho: np.ndarray, pi: Sequence[int], trials: int = 200,
                          seed: int = 0) -> HZReport:
     """Verify the variational principle for one binary sequence.
 
     The span of the pi-marked eigenvectors must achieve the eigenvalue sum,
-    and no sampled cell member may fall below it.  Sampling uses one child
-    generator per trial so results are reproducible and order-independent.
+    and no sampled cell member may fall below it.  Trial t samples with the
+    generator default_rng([seed, t]), so results are reproducible and
+    order-independent; trials are sampled and projected a block at a time.
     """
     rho = np.asarray(rho)
     flag = induced_flag(rho)
@@ -198,25 +235,25 @@ def hersch_zwahlen_check(rho: np.ndarray, pi: Sequence[int], trials: int = 200,
     candidate_value = _projection_value(rho, candidate)
 
     min_sampled = float("inf")
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        frame = sample_schubert_cell(flag, pi, rng)
-        min_sampled = min(min_sampled, _projection_value(rho, frame))
+    for start in range(0, trials, TRIAL_BLOCK):
+        q = _sample_cell_frames(flag, pi, range(start, min(start + TRIAL_BLOCK, trials)), seed)
+        values = np.real(np.trace(q.conj().swapaxes(1, 2) @ rho @ q, axis1=1, axis2=2))
+        min_sampled = min(min_sampled, float(np.min(values)))
     return HZReport(pi=pi, target=target, candidate_value=candidate_value,
                     candidate_in_cell=in_cell, min_sampled=min_sampled,
                     trials=trials)
 
 
 def partial_trace(rho_ab: np.ndarray, d_a: int, d_b: int, keep: str = "A") -> np.ndarray:
-    """Reduce a (d_a*d_b)-dimensional density matrix to one factor."""
+    """Reduce a (d_a*d_b)-dimensional density matrix, or a stack of them, to one factor."""
     rho_ab = np.asarray(rho_ab)
-    if rho_ab.shape != (d_a * d_b, d_a * d_b):
-        raise ValueError(f"expected shape {(d_a * d_b,) * 2}, got {rho_ab.shape}")
-    tensor = rho_ab.reshape(d_a, d_b, d_a, d_b)
+    if rho_ab.ndim < 2 or rho_ab.shape[-2:] != (d_a * d_b, d_a * d_b):
+        raise ValueError(f"expected shape (..., {d_a * d_b}, {d_a * d_b}), got {rho_ab.shape}")
+    tensor = rho_ab.reshape(rho_ab.shape[:-2] + (d_a, d_b, d_a, d_b))
     if keep == "A":
-        return np.einsum("ibjb->ij", tensor)
+        return np.einsum("...ibjb->...ij", tensor)
     if keep == "B":
-        return np.einsum("aiaj->ij", tensor)
+        return np.einsum("...aiaj->...ij", tensor)
     raise ValueError("keep must be 'A' or 'B'")
 
 
@@ -251,6 +288,17 @@ class InequalityVerdict:
     witness: dict | None  # trial index, state kind, both spectra, both sides
 
 
+def _sample_state(d: int, trial: int, seed: int) -> tuple[str, np.ndarray]:
+    """State kind and density matrix of trial `trial`, drawn from default_rng([seed, trial])."""
+    rng = np.random.default_rng([seed, trial])
+    kind = ("mixed-full", "pure", "mixed-rank")[trial % 3]
+    if kind == "pure":
+        return kind, random_pure_density(d, rng)
+    if kind == "mixed-rank":
+        return kind, random_mixed_density(d, rng, rank=int(rng.integers(1, d + 1)))
+    return kind, random_mixed_density(d, rng)
+
+
 def check_spectral_inequality(pi: Sequence[int], sigma: Sequence[int],
                               d_a: int, d_b: int, samples: int = 1000,
                               seed: int = 0) -> InequalityVerdict:
@@ -259,28 +307,29 @@ def check_spectral_inequality(pi: Sequence[int], sigma: Sequence[int],
     Alternates full-spectrum mixed states, random-rank mixed states and pure
     states.  Returns the first violating witness; a clean pass over all
     samples is evidence, not proof, that the pair satisfies the intersection
-    property behind the inequality.
+    property behind the inequality.  Spectra are computed a block of trials
+    at a time; the witness is the violating trial of lowest index.
     """
     d_ab = d_a * d_b
     pi = _validate_pi(pi, d_a)
     sigma = _validate_pi(sigma, d_ab)
-    for trial in range(samples):
-        rng = np.random.default_rng([seed, trial])
-        kind = ("mixed-full", "pure", "mixed-rank")[trial % 3]
-        if kind == "pure":
-            rho_ab = random_pure_density(d_ab, rng)
-        elif kind == "mixed-rank":
-            rho_ab = random_mixed_density(d_ab, rng, rank=int(rng.integers(1, d_ab + 1)))
-        else:
-            rho_ab = random_mixed_density(d_ab, rng)
-        lam_ab = np.sort(np.linalg.eigvalsh(rho_ab))[::-1]
-        lam_a = np.sort(np.linalg.eigvalsh(partial_trace(rho_ab, d_a, d_b, "A")))[::-1]
-        lhs = float(np.dot(pi, lam_a))
-        rhs = float(np.dot(sigma, lam_ab))
-        if lhs > rhs + INEQUALITY_MARGIN:
-            witness = {"trial": trial, "kind": kind,
-                       "lam_a": [float(v) for v in lam_a],
-                       "lam_ab": [float(v) for v in lam_ab],
-                       "lhs": lhs, "rhs": rhs}
-            return InequalityVerdict(pi, sigma, True, trial + 1, witness)
+    for start in range(0, samples, TRIAL_BLOCK):
+        trials = range(start, min(start + TRIAL_BLOCK, samples))
+        kinds, rhos = zip(*(_sample_state(d_ab, trial, seed) for trial in trials))
+        rho_ab = np.array(rhos)
+        lam_ab = np.sort(np.linalg.eigvalsh(rho_ab))[:, ::-1]
+        lam_a = np.sort(np.linalg.eigvalsh(partial_trace(rho_ab, d_a, d_b, "A")))[:, ::-1]
+        # the stacked products screen with slack far above their rounding;
+        # each candidate is decided by the same scalar dot as a single trial
+        excess = lam_a @ np.array(pi, float) - lam_ab @ np.array(sigma, float)
+        for row in np.flatnonzero(excess > INEQUALITY_MARGIN - _SCREEN_SLACK):
+            lhs = float(np.dot(pi, lam_a[row]))
+            rhs = float(np.dot(sigma, lam_ab[row]))
+            if lhs > rhs + INEQUALITY_MARGIN:
+                trial = trials[row]
+                witness = {"trial": trial, "kind": kinds[row],
+                           "lam_a": [float(v) for v in lam_a[row]],
+                           "lam_ab": [float(v) for v in lam_ab[row]],
+                           "lhs": lhs, "rhs": rhs}
+                return InequalityVerdict(pi, sigma, True, trial + 1, witness)
     return InequalityVerdict(pi, sigma, False, samples, None)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import qmarginal
-from qmarginal.cli import main
+from qmarginal.cli import EXIT_BROKEN_PIPE, main
 from qmarginal.fock import FermionState, OrbitalSpace, SlaterDeterminant, write_state_json
 
 
@@ -253,21 +253,50 @@ class TestReproducibility:
         assert out_a == out_b
 
 
+def checkout_env():
+    """Environment under which a fresh interpreter imports this checkout's package."""
+    src = str(Path(qmarginal.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def run_python(args):
     """Run a fresh interpreter that imports this checkout's package."""
-    src = str(Path(qmarginal.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, *args], env=env,
+    return subprocess.run([sys.executable, *args], env=checkout_env(),
                           capture_output=True, text=True, timeout=60)
 
 
 def test_cli_import_does_not_load_scipy_special():
-    # a fresh interpreter: this one has scipy loaded by other test modules
-    probe = "import sys, qmarginal.cli; print('scipy.special' in sys.modules)"
+    # a fresh interpreter: this one has scipy loaded by other test modules.
+    # The runtime needs numpy alone, so no command may import any scipy module.
+    probe = """
+import contextlib, io, sys
+import qmarginal.cli
+for argv in (["harmonium", "--kappa", "0.2", "--basis", "12", "--json"],
+             ["hz", "--dim", "3", "--trials", "5", "--json"],
+             ["ineq", "--da", "2", "--db", "2", "--pi", "10", "--sigma", "1100",
+              "--samples", "30", "--json"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert qmarginal.cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
     result = run_python(["-c", probe])
-    assert result.returncode == 0
-    assert result.stdout.strip() == "False"
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_closed_stdout_ends_quietly():
+    # the reader closes the pipe before the command writes: no error message,
+    # and not the validation exit code
+    argv = [sys.executable, "-m", "qmarginal.cli", "selection", "--setting", "3,6",
+            "--saturated", "none", "--json"]
+    proc = subprocess.Popen(argv, env=checkout_env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+    assert stderr == ""
 
 
 def test_pinned_state_demo_script():

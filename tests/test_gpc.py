@@ -153,6 +153,14 @@ class TestPinningReport:
         report = pinning_report(BD_EXAMPLE, catalog(3, 6), truncation_weight=1e-7)
         assert report.truncation_weight == 1e-7
 
+    @pytest.mark.parametrize("pin_tol", [math.nan, math.inf, -1.0])
+    def test_bad_pin_tol_rejected(self, pin_tol):
+        with pytest.raises(ValueError, match="pin_tol"):
+            pinning_report(BD_EXAMPLE, catalog(3, 6), pin_tol=pin_tol)
+
+    def test_zero_pin_tol_accepted(self):
+        assert pinning_report(BD_EXAMPLE, catalog(3, 6), pin_tol=0.0).pin_tol == 0.0
+
 
 def realize_bd_point(lams):
     """Any point of the d=6 polytope is reached by four determinants.

@@ -16,6 +16,27 @@ def random_hermitian(d, seed):
     return (g + g.conj().T) / 2.0
 
 
+def first_violation_by_loop(pi, sigma, d_a, d_b, samples, seed):
+    """The witness of check_spectral_inequality, one trial at a time."""
+    d_ab = d_a * d_b
+    for trial in range(samples):
+        rng = np.random.default_rng([seed, trial])
+        kind = ("mixed-full", "pure", "mixed-rank")[trial % 3]
+        if kind == "pure":
+            rho_ab = random_pure_density(d_ab, rng)
+        elif kind == "mixed-rank":
+            rho_ab = random_mixed_density(d_ab, rng, rank=int(rng.integers(1, d_ab + 1)))
+        else:
+            rho_ab = random_mixed_density(d_ab, rng)
+        lam_ab = np.sort(np.linalg.eigvalsh(rho_ab))[::-1]
+        lam_a = np.sort(np.linalg.eigvalsh(partial_trace(rho_ab, d_a, d_b, "A")))[::-1]
+        lhs, rhs = float(np.dot(pi, lam_a)), float(np.dot(sigma, lam_ab))
+        if lhs > rhs + 1e-10:
+            return {"trial": trial, "kind": kind, "lam_a": [float(v) for v in lam_a],
+                    "lam_ab": [float(v) for v in lam_ab], "lhs": lhs, "rhs": rhs}
+    return None
+
+
 class TestFlag:
     def test_standard_flag_subspaces(self):
         flag = standard_flag(3)
@@ -145,6 +166,23 @@ class TestHerschZwahlen:
             assert report.passed()
 
 
+    @pytest.mark.parametrize("trials", [50, 300])  # 300 spans two blocks
+    def test_batched_minimum_is_the_scalar_sampler(self, trials):
+        # every trial's frame from sample_schubert_cell with its own
+        # generator, projected one at a time: the same minimum, bit for bit
+        rho = random_hermitian(4, 7)
+        flag = induced_flag(rho)
+        seed = 11
+        for mask in range(16):
+            pi = tuple(int(b) for b in format(mask, "04b"))
+            values = []
+            for t in range(trials):
+                frame = sample_schubert_cell(flag, pi, np.random.default_rng([seed, t]))
+                values.append(float(np.real(np.trace(frame.conj().T @ rho @ frame))))
+            report = hersch_zwahlen_check(rho, pi, trials=trials, seed=seed)
+            assert report.min_sampled == min(values)
+
+
 class TestDuality:
     def test_duality_on_eigenvector_subspaces(self):
         # the cell of -rho indexed by sigma and the cell of rho indexed by the
@@ -195,6 +233,14 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(np.eye(5), 2, 2)
 
+    def test_stack_reduces_each_matrix(self):
+        rng = np.random.default_rng(6)
+        stack = np.array([random_mixed_density(6, rng) for _ in range(5)])
+        for keep in "AB":
+            reduced = partial_trace(stack, 2, 3, keep)
+            for rho, part in zip(stack, reduced):
+                assert np.array_equal(part, partial_trace(rho, 2, 3, keep))
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3]), st.sampled_from([2, 3]))
     def test_defining_property(self, seed, d_a, d_b):
@@ -234,6 +280,20 @@ class TestSpectralInequality:
         a = check_spectral_inequality((1, 0), (0, 0, 0, 1), 2, 2, samples=100, seed=4)
         b = check_spectral_inequality((1, 0), (0, 0, 0, 1), 2, 2, samples=100, seed=4)
         assert a == b
+
+    @pytest.mark.parametrize("pi,sigma,seed,first", [
+        ((1, 0), (0, 0, 0, 1), 3, None),
+        ((0, 1), (1, 0, 0, 0), 0, 303),  # beyond the first block of trials
+    ])
+    def test_witness_is_the_first_scalar_violation(self, pi, sigma, seed, first):
+        expected = first_violation_by_loop(pi, sigma, 2, 2, samples=400, seed=seed)
+        verdict = check_spectral_inequality(pi, sigma, 2, 2, samples=400, seed=seed)
+        assert expected is not None
+        if first is not None:
+            assert expected["trial"] == first
+        assert verdict.violated
+        assert verdict.samples_checked == expected["trial"] + 1
+        assert verdict.witness == expected
 
     def test_pure_state_marginal_spectra_match(self):
         # sanity of the sampler: marginals of pure states have equal nonzero spectra
