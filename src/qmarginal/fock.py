@@ -8,6 +8,7 @@ an operator a_k / a_k^dag acting on a determinant picks up
 """
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -145,8 +146,12 @@ class FermionState:
                 raise ValueError(f"{det} uses orbitals beyond d={self.space.d}")
             if det.n_occupied != self.space.n:
                 raise ValueError(f"{det} does not hold n={self.space.n} fermions")
-        if abs(self.norm_squared() - 1.0) > NORM_TOL:
-            raise ValueError(f"state not normalized: |c|^2 = {self.norm_squared()!r}")
+        norm_sq = self.norm_squared()
+        # |c|^2 sums to a finite value only if every amplitude is finite
+        if not math.isfinite(norm_sq):
+            raise ValueError("state has a non-finite amplitude")
+        if abs(norm_sq - 1.0) > NORM_TOL:
+            raise ValueError(f"state not normalized: |c|^2 = {norm_sq!r}")
 
     @classmethod
     def from_amplitudes(cls, space: OrbitalSpace, amplitudes: Mapping) -> "FermionState":
@@ -177,12 +182,12 @@ def one_rdm(state: FermionState) -> np.ndarray:
 
     Hermitian, positive semidefinite, trace n.
     """
-    if abs(state.norm_squared() - 1.0) > RDM_NORM_TOL:
-        raise ValueError("state norm deviates from 1 beyond tolerance")
     d, n = state.space.d, state.space.n
     m = len(state.amplitudes)
     masks = np.fromiter((det.mask for det in state.amplitudes), dtype=np.uint64, count=m)
     amps = np.fromiter(state.amplitudes.values(), dtype=complex, count=m)
+    if not abs(np.vdot(amps, amps).real - 1.0) <= RDM_NORM_TOL:
+        raise ValueError("state norm deviates from 1 beyond tolerance")
     # a zero amplitude only adds terms of +-0 to rho, so dropping it leaves
     # rho bit for bit the same
     nonzero = amps != 0
@@ -231,6 +236,8 @@ def natural_occupations(rdm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     produces; only the occupation values are contractual.
     """
     rdm = np.asarray(rdm)
+    if not np.all(np.isfinite(rdm)):
+        raise ValueError("matrix has non-finite entries")
     if np.max(np.abs(rdm - rdm.conj().T)) > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     return jacobi_eigh(rdm)
@@ -303,5 +310,8 @@ def read_state_json(fp) -> FermionState:
         det = SlaterDeterminant.from_orbitals(orbitals)
         if det in amps:
             raise ValueError(f"duplicate determinant {det}")
-        amps[det] = complex(float(entry["re"]), float(entry.get("im", 0.0)))
+        c = complex(float(entry["re"]), float(entry.get("im", 0.0)))
+        if not cmath.isfinite(c):
+            raise ValueError(f"amplitude of {det} is not finite: {c!r}")
+        amps[det] = c
     return FermionState.from_amplitudes(space, amps)

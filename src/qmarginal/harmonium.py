@@ -33,6 +33,9 @@ from .linalg import one_blas_thread
 
 DEFAULT_BASIS_SIZE = 28
 DEFICIT_TOL = 1e-6
+# multiply-adds of the expansion's products: admits N=3 up to d=64 (3.0e10) and
+# N=4 up to d=18, rejects N=4 at d=28 (8.7e11) before the first node
+MAX_EXPANSION_COST = 4 * 10 ** 10
 _CHUNK = 1 << 13  # quadrature nodes evaluated at once
 _BLOCK = 1 << 9  # nodes per matrix product in the expansion
 # quadrature and Jacobi rotations resolve occupations to a few eps in
@@ -320,8 +323,14 @@ def expand_in_hermite_basis(params: HarmoniumParams,
     pair_of = np.full((d_basis, d_basis), -1)
     pair_of[tuple(np.array(groups[0] + groups[1]).T)] = np.arange(sizes[0] + sizes[1])
     needed = (parity,) if n == 2 else (0, 1)
-    tensor = np.zeros((d_basis,) * (n - 2) + (sizes[0] + sizes[1],))
     m_half = g ** n // 2
+    # per node: head levels x lead rows (d^(n-2) together) x pair columns
+    cost = m_half * d_basis ** (n - 2) * max(sizes)
+    if cost > MAX_EXPANSION_COST:
+        raise ValueError(f"the expansion at n={n}, basis_size={d_basis} with {g} nodes per "
+                         f"axis needs about {cost:.1e} multiply-adds, above the limit of "
+                         f"{MAX_EXPANSION_COST:.0e}; use a smaller basis")
+    tensor = np.zeros((d_basis,) * (n - 2) + (sizes[0] + sizes[1],))
     width = min(_BLOCK, _CHUNK, m_half)
     # buffers reused by every chunk and block: fresh ones cost a page fault
     # per 4 KiB touched

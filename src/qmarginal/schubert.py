@@ -224,6 +224,8 @@ def hersch_zwahlen_check(rho: np.ndarray, pi: Sequence[int], trials: int = 200,
     generator default_rng([seed, t]), so results are reproducible and
     order-independent; trials are sampled and projected a block at a time.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rho = np.asarray(rho)
     flag = induced_flag(rho)
     pi = _validate_pi(pi, flag.dim)
@@ -310,6 +312,8 @@ def check_spectral_inequality(pi: Sequence[int], sigma: Sequence[int],
     property behind the inequality.  Spectra are computed a block of trials
     at a time; the witness is the violating trial of lowest index.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     d_ab = d_a * d_b
     pi = _validate_pi(pi, d_a)
     sigma = _validate_pi(sigma, d_ab)

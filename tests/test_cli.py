@@ -227,6 +227,9 @@ class TestInputsCheckedAtTheBoundary:
         ["hz", "--dim=-2", "--json"],
         ["harmonium", "--kappa", "0.2", "--basis", "65", "--json"],
         ["hz", "--dim", "13", "--json"],
+        ["hz", "--dim", "3", "--trials", "-2"],
+        ["ineq", "--da", "2", "--db", "2", "--pi", "10", "--sigma", "0001", "--samples", "-5"],
+        ["harmonium", "--n", "4", "--basis", "28", "--kappa", "0.25"],
     ])
     def test_rejected_with_exit_2(self, argv, capsys):
         code, out = run_cli(argv)
@@ -235,6 +238,20 @@ class TestInputsCheckedAtTheBoundary:
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
         assert "zero-size array" not in err
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("command", [
+        ["non"], ["gpc", "--state"],
+        ["selection", "--setting", "3,6", "--saturated", "bd-eq1", "--state"]])
+    def test_non_finite_state_file_rejected(self, command, value, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_text('{"d": 6, "n": 3, "amplitudes": [{"orbitals": [1, 2, 3], "re": 0.8}, '
+                        '{"orbitals": [1, 4, 5], "re": ' + value + '}]}')
+        code, out = run_cli(command + [str(path), "--json"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "not finite" in err
 
 
 class TestReproducibility:

@@ -226,6 +226,19 @@ class TestOneRDM:
         with pytest.raises(ValueError):
             one_rdm(state)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_norm_rejected(self, value):
+        space = OrbitalSpace(d=4, n=2)
+        state = FermionState.from_amplitudes(space, {det(1, 2): 1.0})
+        object.__setattr__(state, "amplitudes", {det(1, 2): value})
+        with pytest.raises(ValueError, match="norm"):
+            one_rdm(state)
+
+    @pytest.mark.parametrize("value", [complex(math.nan, 0.0), complex(1.0, math.inf)])
+    def test_non_finite_amplitude_rejected(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            FermionState(OrbitalSpace(d=4, n=2), {det(1, 2): value})
+
 
 class TestNaturalOccupations:
     def test_sorting_diagonal(self):
@@ -251,6 +264,11 @@ class TestNaturalOccupations:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             natural_occupations(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            natural_occupations(np.diag([value, 1.0]))
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 10))

@@ -122,6 +122,13 @@ class TestExpansion:
             expand_in_hermite_basis(HarmoniumParams(n=3, kappa=0.2), quad)
         assert QuadratureSpec(basis_size=10, nodes=16).node_count(3) == 16
 
+    def test_cost_guard(self, monkeypatch):
+        # N=4 at d=28 needs ~8.7e11 multiply-adds: rejected before any node
+        monkeypatch.setattr(harmonium, "wavefunction", None)
+        with pytest.raises(ValueError, match="multiply-adds"):
+            expand_in_hermite_basis(HarmoniumParams(n=4, kappa=0.25),
+                                    QuadratureSpec(basis_size=28))
+
     def test_basis_beyond_bitmask_capacity_rejected(self):
         # at construction, before an expansion that cannot be stored
         with pytest.raises(ValueError, match="basis_size"):
