@@ -9,6 +9,7 @@ an operator a_k / a_k^dag acting on a determinant picks up
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -70,17 +71,7 @@ class SlaterDeterminant:
 
     @property
     def orbitals(self) -> tuple[int, ...]:
-        mask, out, k = self.mask, [], 1
-        while mask:
-            if mask & 1:
-                out.append(k)
-            mask >>= 1
-            k += 1
-        return tuple(out)
-
-    @property
-    def n_occupied(self) -> int:
-        return self.mask.bit_count()
+        return tuple(k + 1 for k in range(self.mask.bit_length()) if self.mask >> k & 1)
 
     def has(self, k: int) -> bool:
         return bool((self.mask >> (k - 1)) & 1)
@@ -89,92 +80,106 @@ class SlaterDeterminant:
         return "|" + ",".join(str(k) for k in self.orbitals) + ">"
 
 
-def enumerate_slaters(space: OrbitalSpace) -> list[SlaterDeterminant]:
-    """All n-fermion determinants, ascending by bitmask value (deterministic)."""
+def slater_masks(space: OrbitalSpace) -> np.ndarray:
+    """All n-fermion determinants as uint64 bitmasks, ascending (deterministic)."""
     size = space.basis_size
     if size > BASIS_CAP:
         raise CapacityError(f"basis size C({space.d},{space.n}) = {size} exceeds cap {BASIS_CAP}")
-    out = []
-    v = (1 << space.n) - 1
-    limit = 1 << space.d
-    while v < limit:
-        out.append(SlaterDeterminant(v))
-        c = v & -v
-        r = v + c
-        v = r | (((v ^ r) >> 2) // c)
-    return out
+    levels = np.array(list(itertools.combinations(range(space.d), space.n)), dtype=np.uint64)
+    return np.sort(np.bitwise_or.reduce(np.uint64(1) << levels, axis=1))
 
 
-def _sign_below(mask: int, k: int) -> int:
-    return -1 if (mask & ((1 << (k - 1)) - 1)).bit_count() & 1 else 1
+def enumerate_slaters(space: OrbitalSpace) -> list[SlaterDeterminant]:
+    """All n-fermion determinants, ascending by bitmask value (deterministic)."""
+    return [SlaterDeterminant(mask) for mask in slater_masks(space).tolist()]
+
+
+def occupied(masks, d: int) -> np.ndarray:
+    """Boolean (len(masks), d) table: entry [i, k] says whether masks[i] fills orbital k+1."""
+    bits = np.left_shift(np.uint64(1), np.arange(d, dtype=np.uint64))
+    return (np.asarray(masks, dtype=np.uint64)[:, None] & bits) != 0
+
+
+def _flip(det: SlaterDeterminant, k: int, filled: bool):
+    """(sign, det with orbital k flipped) if orbital k is filled == filled, else None."""
+    if k < 1 or k > MAX_ORBITALS:
+        raise ValueError(f"orbital index {k} outside [1, {MAX_ORBITALS}]")
+    bit = 1 << (k - 1)
+    if bool(det.mask & bit) != filled:
+        return None
+    return -1 if (det.mask & (bit - 1)).bit_count() & 1 else 1, SlaterDeterminant(det.mask ^ bit)
 
 
 def apply_annihilator(det: SlaterDeterminant, k: int):
     """a_k |det>.  Returns (sign, new det) or None if orbital k is empty."""
-    if k < 1 or k > MAX_ORBITALS:
-        raise ValueError(f"orbital index {k} outside [1, {MAX_ORBITALS}]")
-    bit = 1 << (k - 1)
-    if not det.mask & bit:
-        return None
-    return _sign_below(det.mask, k), SlaterDeterminant(det.mask & ~bit)
+    return _flip(det, k, True)
 
 
 def apply_creator(det: SlaterDeterminant, k: int):
     """a_k^dag |det>.  Returns (sign, new det) or None if orbital k is filled."""
-    if k < 1 or k > MAX_ORBITALS:
-        raise ValueError(f"orbital index {k} outside [1, {MAX_ORBITALS}]")
-    bit = 1 << (k - 1)
-    if det.mask & bit:
-        return None
-    return _sign_below(det.mask, k), SlaterDeterminant(det.mask | bit)
+    return _flip(det, k, False)
 
 
 @dataclass(frozen=True)
 class FermionState:
-    """Normalized amplitudes over the n-fermion Slater basis.
+    """Normalized amplitudes over n-fermion Slater determinants.
 
-    Treat instances as immutable; all operations return new states.
+    amps[i] is the amplitude of the determinant with bitmask masks[i]; the
+    masks are distinct and keep the caller's order.  Treat instances as
+    immutable; all operations return new states.
     """
 
     space: OrbitalSpace
-    amplitudes: dict = field(repr=False)
+    masks: np.ndarray = field(repr=False)
+    amps: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        limit = 1 << self.space.d
-        for det in self.amplitudes:
-            if det.mask >= limit:
-                raise ValueError(f"{det} uses orbitals beyond d={self.space.d}")
-            if det.n_occupied != self.space.n:
-                raise ValueError(f"{det} does not hold n={self.space.n} fermions")
-        norm_sq = self.norm_squared()
-        # |c|^2 sums to a finite value only if every amplitude is finite
-        if not math.isfinite(norm_sq):
+        object.__setattr__(self, "masks", np.asarray(self.masks, dtype=np.uint64))
+        object.__setattr__(self, "amps", np.asarray(self.amps, dtype=complex))
+        masks, amps, d, n = self.masks, self.amps, self.space.d, self.space.n
+        if masks.ndim != 1 or amps.shape != masks.shape:
+            raise ValueError(f"need one amplitude per mask, got {amps.shape} and {masks.shape}")
+        bad = masks[(masks >> np.uint64(d) != 0) | (occupied(masks, d).sum(axis=1) != n)]
+        if bad.size:
+            raise ValueError(f"{SlaterDeterminant(int(bad[0]))} is no n={n} determinant in d={d}")
+        repeated = np.delete(masks, np.unique(masks, return_index=True)[1])
+        if repeated.size:
+            raise ValueError(f"duplicate determinant {SlaterDeterminant(int(repeated[0]))}")
+        if not np.all(np.isfinite(amps)):
             raise ValueError("state has a non-finite amplitude")
+        norm_sq = float(np.vdot(amps, amps).real)
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"state not normalized: |c|^2 = {norm_sq!r}")
 
     @classmethod
     def from_amplitudes(cls, space: OrbitalSpace, amplitudes: Mapping) -> "FermionState":
-        """The normalized state with these (nonzero) amplitudes."""
-        amps = {det: complex(c) for det, c in amplitudes.items() if c != 0}
-        norm = math.sqrt(sum(abs(c) ** 2 for c in amps.values()))
-        if norm == 0.0:
-            raise ValueError("cannot normalize the zero state")
-        return cls(space, {det: c / norm for det, c in amps.items()})
+        """The normalized state with these amplitudes, keyed by SlaterDeterminant."""
+        return _normalized(space, [det.mask for det in amplitudes], list(amplitudes.values()))
 
-    def norm_squared(self) -> float:
-        return sum(abs(c) ** 2 for c in self.amplitudes.values())
 
-    def amplitude(self, det: SlaterDeterminant) -> complex:
-        return self.amplitudes.get(det, 0.0 + 0.0j)
+def _normalized(space: OrbitalSpace, masks, amps) -> FermionState:
+    """The state with these amplitudes scaled to unit norm."""
+    amps = np.asarray(amps, dtype=complex)
+    # Python's complex abs and float power: numpy's differ in the last bit
+    try:
+        norm_sq = sum(abs(c) ** 2 for c in amps.tolist())
+        if math.isinf(norm_sq):
+            raise OverflowError
+    except OverflowError:
+        raise ValueError("amplitude magnitudes overflow when squared") from None
+    if norm_sq < np.finfo(float).tiny:
+        raise ValueError("amplitude magnitudes underflow when squared"
+                         if amps.any() else "cannot normalize the zero state")
+    # each part divided on its own, as Python divides a complex by a float
+    return FermionState(space, masks, (amps.view(float) / math.sqrt(norm_sq)).view(complex))
 
 
 def random_state(space: OrbitalSpace, rng: np.random.Generator) -> FermionState:
     """Haar-like random state: i.i.d. standard complex normal amplitudes, normalized."""
-    basis = enumerate_slaters(space)
-    c = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    masks = slater_masks(space)
+    c = rng.standard_normal(masks.size) + 1j * rng.standard_normal(masks.size)
     c /= np.linalg.norm(c)
-    return FermionState(space, dict(zip(basis, c)))
+    return FermionState(space, masks, c)
 
 
 def one_rdm(state: FermionState) -> np.ndarray:
@@ -183,15 +188,12 @@ def one_rdm(state: FermionState) -> np.ndarray:
     Hermitian, positive semidefinite, trace n.
     """
     d, n = state.space.d, state.space.n
-    m = len(state.amplitudes)
-    masks = np.fromiter((det.mask for det in state.amplitudes), dtype=np.uint64, count=m)
-    amps = np.fromiter(state.amplitudes.values(), dtype=complex, count=m)
-    if not abs(np.vdot(amps, amps).real - 1.0) <= RDM_NORM_TOL:
+    if not abs(np.vdot(state.amps, state.amps).real - 1.0) <= RDM_NORM_TOL:
         raise ValueError("state norm deviates from 1 beyond tolerance")
     # a zero amplitude only adds terms of +-0 to rho, so dropping it leaves
     # rho bit for bit the same
-    nonzero = amps != 0
-    masks, amps = masks[nonzero], amps[nonzero]
+    nonzero = state.amps != 0
+    masks, amps = state.masks[nonzero], state.amps[nonzero]
     m = masks.size
     order = np.argsort(masks)
     sorted_masks = masks[order]
@@ -205,7 +207,7 @@ def one_rdm(state: FermionState) -> np.ndarray:
     step = max(1, _RDM_BLOCK // (n * d))
     for start in range(0, m, step):
         block = masks[start:start + step]
-        occ = (block[:, None] & bits) != 0                      # (b, d)
+        occ = occupied(block, d)                                # (b, d)
         below = np.cumsum(occ, axis=1) - occ                    # occupied strictly below
         j = np.nonzero(occ)[1].reshape(-1, n)                   # (b, n), ascending
         reduced = block[:, None] & ~bits[j]                     # a_j |det>
@@ -256,38 +258,48 @@ def rotate_orbitals(state: FermionState, u: np.ndarray) -> FermionState:
     if np.max(np.abs(u.conj().T @ u - np.eye(d))) > UNITARY_TOL:
         raise ValueError("matrix is not unitary within tolerance")
 
-    src = [(det, c) for det, c in state.amplitudes.items() if c != 0]
-    cols = np.array([[k - 1 for k in det.orbitals] for det, _ in src])  # (nsrc, n)
-    amps = np.array([c for _, c in src])
-    out = {}
-    for target in enumerate_slaters(state.space):
-        rows = [k - 1 for k in target.orbitals]
-        sub = u[rows, :]                        # (n, d)
-        minors = sub[:, cols].transpose(1, 0, 2)  # (nsrc, n, n)
-        value = np.linalg.det(minors) @ amps
-        if value != 0:
-            out[target] = complex(value)
-    total = sum(abs(c) ** 2 for c in out.values())
+    nonzero = state.amps != 0
+    cols = np.nonzero(occupied(state.masks[nonzero], d))[1].reshape(-1, n)  # (nsrc, n)
+    amps = state.amps[nonzero]
+    targets = slater_masks(state.space)
+    values = np.array([np.linalg.det(u[rows, :][:, cols].transpose(1, 0, 2)) @ amps
+                       for rows in np.nonzero(occupied(targets, d))[1].reshape(-1, n)])
+    targets, values = targets[values != 0], values[values != 0]
+    total = sum(abs(c) ** 2 for c in values.tolist())
     if abs(total - 1.0) > UNITARY_TOL:
         raise ValueError(f"rotation failed to preserve the norm: |c|^2 = {total!r}")
-    scale = 1.0 / math.sqrt(total)
-    return FermionState(state.space, {det: c * scale for det, c in out.items()})
+    return FermionState(state.space, targets, values * (1.0 / math.sqrt(total)))
 
 
 def write_state_json(state: FermionState, fp) -> None:
     """Serialize a state; amplitudes below STATE_AMPLITUDE_CUTOFF in magnitude are dropped."""
-    entries = []
-    for det in sorted(state.amplitudes):
-        c = state.amplitudes[det]
-        if abs(c) > STATE_AMPLITUDE_CUTOFF:
-            entries.append({"orbitals": list(det.orbitals),
-                            "re": float(np.real(c)), "im": float(np.imag(c))})
+    entries = [{"orbitals": list(SlaterDeterminant(mask).orbitals), "re": c.real, "im": c.imag}
+               for mask, c in sorted(zip(state.masks.tolist(), state.amps.tolist()))
+               if abs(c) > STATE_AMPLITUDE_CUTOFF]
     doc = {"d": state.space.d, "n": state.space.n, "amplitudes": entries}
     if hasattr(fp, "write"):
         json.dump(doc, fp)
     else:
         with open(fp, "w", encoding="utf-8") as handle:
             json.dump(doc, handle)
+
+
+def _read_entry(index: int, entry) -> tuple[int, complex]:
+    """Bitmask and amplitude of the index-th state-file entry."""
+    where = f"amplitude entry {index} ({json.dumps(entry)[:80]})"
+    if not isinstance(entry, dict) or not {"orbitals", "re"} <= entry.keys():
+        raise ValueError(f'{where}: need an object with "orbitals", "re" and optionally "im"')
+    orbitals = entry["orbitals"]
+    if (not isinstance(orbitals, list) or any(type(k) is not int for k in orbitals)
+            or any(a >= b for a, b in zip([0, *orbitals], [*orbitals, MAX_ORBITALS + 1]))):
+        raise ValueError(f"{where}: need strictly increasing orbitals in [1, {MAX_ORBITALS}]")
+    try:
+        c = complex(float(entry["re"]), float(entry.get("im", 0.0)))
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{where}: re and im must be numbers in the float range") from None
+    if not cmath.isfinite(c):
+        raise ValueError(f"{where}: amplitude is not finite: {c!r}")
+    return SlaterDeterminant.from_orbitals(orbitals).mask, c
 
 
 def read_state_json(fp) -> FermionState:
@@ -297,21 +309,9 @@ def read_state_json(fp) -> FermionState:
     else:
         with open(fp, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-    try:
-        space = OrbitalSpace(d=int(doc["d"]), n=int(doc["n"]))
-        raw = doc["amplitudes"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"state file missing field: {exc}") from exc
-    amps = {}
-    for entry in raw:
-        orbitals = entry["orbitals"]
-        if sorted(orbitals) != list(orbitals):
-            raise ValueError(f"orbital list {orbitals} is not strictly increasing")
-        det = SlaterDeterminant.from_orbitals(orbitals)
-        if det in amps:
-            raise ValueError(f"duplicate determinant {det}")
-        c = complex(float(entry["re"]), float(entry.get("im", 0.0)))
-        if not cmath.isfinite(c):
-            raise ValueError(f"amplitude of {det} is not finite: {c!r}")
-        amps[det] = c
-    return FermionState.from_amplitudes(space, amps)
+    if not (isinstance(doc, dict) and {"d", "n", "amplitudes"} <= doc.keys()
+            and type(doc["d"]) is type(doc["n"]) is int and isinstance(doc["amplitudes"], list)):
+        raise ValueError('a state file needs integers "d", "n" and a list "amplitudes"')
+    entries = [_read_entry(i, entry) for i, entry in enumerate(doc["amplitudes"], start=1)]
+    return _normalized(OrbitalSpace(d=doc["d"], n=doc["n"]), [mask for mask, _ in entries],
+                       [c for _, c in entries])

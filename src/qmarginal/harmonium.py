@@ -26,8 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import (MAX_ORBITALS, FermionState, OrbitalSpace, SlaterDeterminant, one_rdm,
-                   natural_occupations)
+from .fock import MAX_ORBITALS, FermionState, OrbitalSpace, one_rdm, natural_occupations
 from .gpc import catalog, evaluate, pinning_report, truncate_spectrum
 from .linalg import one_blas_thread
 
@@ -149,13 +148,9 @@ def hermite_functions(count: int, x: np.ndarray, out: np.ndarray | None = None) 
     return out
 
 
-def _pair_list(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
 def _vandermonde(xs: np.ndarray) -> np.ndarray:
     v = np.ones(xs.shape[1])
-    for i, j in _pair_list(xs.shape[0]):
+    for i, j in itertools.combinations(range(xs.shape[0]), 2):
         v = v * (xs[i] - xs[j])
     return v
 
@@ -204,79 +199,6 @@ def wavefunction(spec: GroundStateSpec, coords: np.ndarray) -> np.ndarray:
     expo = -spec.c1 * x.sum(axis=0) ** 2 - spec.c2 * (x ** 2).sum(axis=0)
     values = spec.c0 * _vandermonde(x) * np.exp(expo)
     return values.reshape(coords.shape[:-1])
-
-
-def apply_hamiltonian(spec: GroundStateSpec, coords: np.ndarray) -> np.ndarray:
-    """(H Psi)(coords) evaluated from the explicit derivatives of Psi."""
-    coords = np.asarray(coords, dtype=float)
-    x = np.atleast_2d(coords).reshape(-1, spec.n).T
-    n, m = x.shape
-    pairs = _pair_list(n)
-    f = [x[i] - x[j] for i, j in pairs]
-    v = np.ones(m)
-    for fp in f:
-        v = v * fp
-
-    total = x.sum(axis=0)
-    expo = -spec.c1 * total ** 2 - spec.c2 * (x ** 2).sum(axis=0)
-    gauss = spec.c0 * np.exp(expo)
-
-    lap = np.zeros(m)  # laplacian of Psi divided by the Gaussian factor
-    for i in range(n):
-        s_i = -2.0 * spec.c1 * total - 2.0 * spec.c2 * x[i]
-        s_ii = -2.0 * spec.c1 - 2.0 * spec.c2
-        v_i = np.zeros(m)
-        v_ii = np.zeros(m)
-        mine = [p for p in range(len(pairs)) if i in pairs[p]]
-        for p in mine:
-            sign_p = 1.0 if pairs[p][0] == i else -1.0
-            rest = np.ones(m)
-            for q in range(len(pairs)):
-                if q != p:
-                    rest = rest * f[q]
-            v_i += sign_p * rest
-            for p2 in mine:
-                if p2 == p:
-                    continue
-                sign_p2 = 1.0 if pairs[p2][0] == i else -1.0
-                rest2 = np.ones(m)
-                for q in range(len(pairs)):
-                    if q != p and q != p2:
-                        rest2 = rest2 * f[q]
-                v_ii += sign_p * sign_p2 * rest2
-        lap += v_ii + 2.0 * v_i * s_i + v * (s_ii + s_i ** 2)
-
-    pair_sq = np.zeros(m)
-    for fp in f:
-        pair_sq += fp ** 2
-    k_const = spec.kappa / n
-    potential = 0.5 * (x ** 2).sum(axis=0) + k_const * pair_sq
-    values = gauss * (-0.5 * lap + potential * v)
-    return values.reshape(coords.shape[:-1])
-
-
-def ground_state_residual(params: HarmoniumParams) -> tuple[float, float]:
-    """Rayleigh quotient E and <(H-E)^2>/E^2 by exact quadrature.
-
-    The eigenfunction test certifying the normal-mode exponents: residuals at
-    rounding level confirm H Psi = E Psi.
-    """
-    spec = ground_state_spec(params)
-    n = spec.n
-    alphas = np.array([1.0] + [spec.omega_rel] * (n - 1))
-    g = n * (n - 1) // 2 + 3  # degree of (H Psi)^2 over the |Psi|^2 Gaussian
-
-    def quad(func):
-        return _mode_integral(n, alphas, g, func)
-
-    norm_sq = quad(lambda x: wavefunction(spec, x.T) ** 2)
-    energy = quad(lambda x: wavefunction(spec, x.T) * apply_hamiltonian(spec, x.T)) / norm_sq
-
-    def residual_sq(x):
-        r = apply_hamiltonian(spec, x.T) - energy * wavefunction(spec, x.T)
-        return r * r
-
-    return float(energy), float(quad(residual_sq) / (energy ** 2 * norm_sq))
 
 
 def expand_in_hermite_basis(params: HarmoniumParams,
@@ -390,9 +312,7 @@ def expand_in_hermite_basis(params: HarmoniumParams,
             f"increase basis_size beyond {d_basis}")
     renorm = 1.0 / math.sqrt(weight)
     masks = np.bitwise_or.reduce(np.left_shift(np.uint64(1), levels.astype(np.uint64)), axis=1)
-    state = FermionState(OrbitalSpace(d=d_basis, n=n),
-                         dict(zip(map(SlaterDeterminant, masks.tolist()),
-                                  (amplitudes * renorm).tolist())))
+    state = FermionState(OrbitalSpace(d=d_basis, n=n), masks, amplitudes * renorm)
     return state, float(deficit)
 
 

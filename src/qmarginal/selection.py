@@ -13,9 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fock import (FermionState, OrbitalSpace, SlaterDeterminant,
-                   enumerate_slaters, natural_occupations, one_rdm,
-                   rotate_orbitals)
+import numpy as np
+
+from .fock import (FermionState, OrbitalSpace, SlaterDeterminant, enumerate_slaters,
+                   natural_occupations, occupied, one_rdm, rotate_orbitals, slater_masks)
 from .gpc import PauliConstraint, PinningReport, evaluate
 
 DEGENERACY_GAP = 1e-10
@@ -51,9 +52,8 @@ def reconstruct_ansatz(report: PinningReport, space: OrbitalSpace) -> list[Slate
 
 def out_of_support_weight(state: FermionState, support) -> float:
     """Weight of the state outside the given determinant list."""
-    allowed = set(support)
-    return sum(abs(c) ** 2 for det, c in state.amplitudes.items()
-               if det not in allowed)
+    outside = ~np.isin(state.masks, np.array([det.mask for det in support], dtype=np.uint64))
+    return float(sum(abs(c) ** 2 for c in state.amps[outside].tolist()))
 
 
 @dataclass(frozen=True)
@@ -85,16 +85,14 @@ def verify_pinning_lemma(state: FermionState, constraint: PauliConstraint,
     start = 0
     for i in range(1, state.space.d + 1):
         if i == state.space.d or lams[start] - lams[i] > DEGENERACY_GAP:
-            block = constraint.kappas[start:i]
-            if len(set(block)) > 1:
-                degenerate = degenerate or (i - start) > 1
+            degenerate = degenerate or len(set(constraint.kappas[start:i])) > 1
             start = i
 
     rotated = rotate_orbitals(state, orbitals.conj().T)
-    residual_sq = sum((slater_value(constraint, det) ** 2) * abs(c) ** 2
-                      for det, c in rotated.amplitudes.items())
-    spectral_radius = max(
-        abs(slater_value(constraint, det)) for det in enumerate_slaters(state.space))
+    values = constraint.kappa0 + occupied(rotated.masks, state.space.d) @ constraint.kappas
+    residual_sq = sum(v ** 2 * abs(c) ** 2 for v, c in zip(values.tolist(), rotated.amps.tolist()))
+    spectral_radius = int(np.max(np.abs(constraint.kappa0 + occupied(
+        slater_masks(state.space), state.space.d) @ constraint.kappas)))
     note = "degenerate occupations across constraint coefficients; lemma check skipped" \
         if degenerate else ""
     return PinningLemmaReport(

@@ -4,10 +4,13 @@ import math
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qmarginal
 from qmarginal.cli import EXIT_BROKEN_PIPE, main
@@ -252,6 +255,119 @@ class TestInputsCheckedAtTheBoundary:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "not finite" in err
+
+
+    @pytest.mark.parametrize("amplitudes,message", [
+        ('[{"orbitals": [1, 2, 3], "re": 1e200}]', "overflow when squared"),
+        ('[{"orbitals": [1, 2, 3], "re": 1e-200}, {"orbitals": [1, 4, 5], "im": 1e-200, '
+         '"re": 1e-200}]', "underflow when squared"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["non"], ["gpc", "--state"],
+        ["selection", "--setting", "3,6", "--saturated", "bd-eq1", "--state"]])
+    def test_extreme_magnitudes_rejected(self, command, amplitudes, message, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_text('{"d": 6, "n": 3, "amplitudes": ' + amplitudes + '}')
+        code, out = run_cli(command + [str(path), "--json"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("doc,message", [
+        ('{"d": 6, "n": 3, "amplitudes": [{"orbitals": 5, "re": 1.0}]}', "entry 1"),
+        ('{"d": 6, "n": 3, "amplitudes": [{"orbitals": [1.5, 2, 3], "re": 1.0}]}', "entry 1"),
+        ('{"d": 6, "n": 3, "amplitudes": [{"orbitals": [1, 2, 3], "re": 1.0}, '
+         '{"orbitals": [1, 4, 5], "re": null}]}', "entry 2"),
+        ('{"d": 6, "n": 3, "amplitudes": {"a": 1}}', 'a list "amplitudes"'),
+        ('{"d": 6, "n": 3, "amplitudes": [[1, 2, 3]]}', "entry 1"),
+        ('{"d": 6.7, "n": 3, "amplitudes": [{"orbitals": [1, 2, 3], "re": 1.0}]}',
+         'integers "d", "n"'),
+        ('{"d": 6, "n": 3, "amplitudes": [{"orbitals": [1, 2, 3], "im": 1.0}]}',
+         'entry 1 ({"orbitals": [1, 2, 3], "im": 1.0}): need an object with "orbitals"'),
+        ('{"d": 6, "n": 3, "amplitudes": [{"orbitals": [1, 2, 3], "re": 0.6}, '
+         '{"orbitals": [1, 2, 3], "re": 0.8}]}', "duplicate determinant |1,2,3>"),
+        ('[{"orbitals": [1, 2, 3], "re": 1.0}]', "a state file needs"),
+    ])
+    def test_malformed_state_file_rejected(self, doc, message, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_text(doc)
+        code, out = run_cli(["non", str(path), "--json"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+
+# Amplitude parts at the edges of the float range: squares that overflow,
+# squares that underflow to zero or to subnormals, and non-finite values.
+EXTREME_PARTS = st.sampled_from([0.0, -0.0, 1e-300, 5e-324, 1e-160, 1.3e154, 1e154, 1e200,
+                                 1.7e308, math.inf, -math.inf, math.nan])
+JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.integers(-2, 70),
+                 st.floats(), st.just(10 ** 400), st.lists(st.integers(-1, 9), max_size=4),
+                 st.dictionaries(st.sampled_from(["orbitals", "re", "a"]), st.integers(),
+                                 max_size=2))
+
+
+@st.composite
+def state_documents(draw):
+    """A well-formed state document, with extreme amplitudes at times, or one
+    with a single field replaced by junk or an entry repeated."""
+    d = draw(st.integers(1, 7))
+    n = draw(st.integers(1, d))
+    extreme = draw(st.booleans())
+    part = st.one_of(st.floats(-2.0, 2.0), EXTREME_PARTS) if extreme else st.floats(-2.0, 2.0)
+    supports = draw(st.lists(st.lists(st.integers(1, d), min_size=n, max_size=n, unique=True)
+                             .map(sorted), min_size=1, max_size=6, unique_by=tuple))
+    entries = [{"orbitals": orbitals, "re": draw(part), "im": draw(part)}
+               for orbitals in supports]
+    if not extreme:  # a nonzero state
+        entries[0]["re"] = draw(st.floats(0.25, 2.0))
+    doc = {"d": d, "n": n, "amplitudes": entries}
+    # "none" twice: about one document in five has no fault
+    fault = draw(st.sampled_from(["none", "none", "d", "n", "amplitudes", "entry",
+                                  "orbitals", "re", "im", "repeat"]))
+    if fault in ("d", "n", "amplitudes"):
+        doc[fault] = draw(JUNK)
+    elif fault == "entry":
+        entries[0] = draw(JUNK)
+    elif fault in ("orbitals", "re", "im"):
+        entries[-1][fault] = draw(JUNK)
+    elif fault == "repeat":
+        entries.append(entries[0])
+    return doc
+
+
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStateFileFuzz:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(state_documents())
+    def test_state_commands_exit_0_or_2_with_json_or_an_error(self, doc):
+        # a file per example: hypothesis runs a function-scoped fixture only once
+        n, d = doc["n"], doc["d"]
+        setting = f"{n},{d}" if type(n) is int and type(d) is int else "3,6"
+        payload = json.dumps(doc)
+        with tempfile.TemporaryDirectory() as folder:
+            path = os.path.join(folder, "state.json")
+            Path(path).write_text(payload, encoding="utf-8")
+            for command in (["non", path, "--orbitals"], ["gpc", "--state", path],
+                            ["selection", "--setting", setting, "--saturated", "ord-1",
+                             "--state", path]):
+                err = io.StringIO()
+                with redirect_stderr(err):
+                    code, out = run_cli(command + ["--json"])
+                assert code in (0, 2), (command, payload, err.getvalue())
+                if code == 0:
+                    strict_json(out)
+                else:
+                    assert out == ""
+                    assert err.getvalue().startswith(("error: ", "invalid JSON"))
 
 
 class TestReproducibility:

@@ -1,16 +1,18 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import amplitudes
 from qmarginal.fock import (CapacityError, FermionState, OrbitalSpace,
                             SlaterDeterminant, apply_annihilator, apply_creator,
-                            enumerate_slaters, natural_occupations, one_rdm,
+                            enumerate_slaters, natural_occupations, occupied, one_rdm,
                             random_state, read_state_json, rotate_orbitals,
-                            write_state_json)
+                            slater_masks, write_state_json)
 from qmarginal.harmonium import HarmoniumParams, QuadratureSpec, expand_in_hermite_basis
 
 
@@ -22,7 +24,8 @@ def loop_one_rdm(state):
     """Reference 1-RDM: the per-determinant loop over a_k^dag a_j."""
     d = state.space.d
     rho = np.zeros((d, d), dtype=complex)
-    for src, c in state.amplitudes.items():
+    amps = amplitudes(state)
+    for src, c in amps.items():
         for j in src.orbitals:
             s1, reduced = apply_annihilator(src, j)
             for k in range(1, d + 1):
@@ -30,7 +33,7 @@ def loop_one_rdm(state):
                 if created is None:
                     continue
                 s2, target = created
-                c_target = state.amplitudes.get(target)
+                c_target = amps.get(target)
                 if c_target is not None:
                     rho[j - 1, k - 1] += s1 * s2 * np.conj(c_target) * c
     return rho
@@ -78,7 +81,7 @@ class TestEnumeration:
         dets = enumerate_slaters(OrbitalSpace(d=6, n=3))
         masks = [d.mask for d in dets]
         assert masks == sorted(masks)
-        assert all(d.n_occupied == 3 for d in dets)
+        assert all(d.mask.bit_count() == 3 for d in dets)
 
     def test_capacity_cap(self):
         with pytest.raises(CapacityError):
@@ -107,11 +110,11 @@ class TestOperators:
     def test_anticommutator(self, seed, j, k):
         # <psi| {a_j, a_k^dag} |psi> = delta_jk
         space = OrbitalSpace(d=6, n=3)
-        state = random_state(space, np.random.default_rng(seed))
+        amps = amplitudes(random_state(space, np.random.default_rng(seed)))
 
         def overlap_after(ops):
             total = 0.0 + 0.0j
-            for d0, c in state.amplitudes.items():
+            for d0, c in amps.items():
                 current, sign = d0, 1
                 for name, idx in ops:
                     step = (apply_annihilator if name == "a" else apply_creator)(current, idx)
@@ -121,7 +124,7 @@ class TestOperators:
                     sign *= step[0]
                     current = step[1]
                 if sign:
-                    total += np.conj(state.amplitudes.get(current, 0.0)) * sign * c
+                    total += np.conj(amps.get(current, 0.0)) * sign * c
             return total
 
         value = overlap_after([("adag", k), ("a", j)]) + overlap_after([("a", j), ("adag", k)])
@@ -151,6 +154,7 @@ class TestOneRDM:
         space = OrbitalSpace(d=5, n=2)
         state = random_state(space, np.random.default_rng(11))
         basis = enumerate_slaters(space)
+        amps = amplitudes(state)
         expected = np.zeros((5, 5), dtype=complex)
         for j in range(1, 6):
             for k in range(1, 6):
@@ -162,8 +166,8 @@ class TestOneRDM:
                     if step2 is None:
                         continue
                     expected[j - 1, k - 1] += (step1[0] * step2[0]
-                                               * np.conj(state.amplitude(step2[1]))
-                                               * state.amplitude(src))
+                                               * np.conj(amps.get(step2[1], 0.0))
+                                               * amps[src])
         assert np.allclose(one_rdm(state), expected, atol=1e-13)
 
     @settings(max_examples=25, deadline=None)
@@ -213,16 +217,17 @@ class TestOneRDM:
             values = values + 1j * rng.standard_normal(len(basis))
         values /= np.linalg.norm(values[sorted(support)])
         zeros = (0.0, -0.0, 0j)
-        padded = FermionState(space, {det: (values[i] if i in support else zeros[i % 3])
-                                      for i, det in enumerate(basis)})
-        bare = FermionState(space, {det: values[i] for i, det in enumerate(basis)
-                                    if i in support})
+        masks = [det.mask for det in basis]
+        padded = FermionState(space, masks, [values[i] if i in support else zeros[i % 3]
+                                             for i in range(len(basis))])
+        kept = sorted(support)
+        bare = FermionState(space, [masks[i] for i in kept], values[kept])
         assert np.array_equal(one_rdm(padded), one_rdm(bare))
 
     def test_unnormalized_rejected(self):
         space = OrbitalSpace(d=4, n=2)
         state = FermionState.from_amplitudes(space, {det(1, 2): 1.0})
-        object.__setattr__(state, "amplitudes", {det(1, 2): 1.1})
+        object.__setattr__(state, "amps", np.array([1.1 + 0j]))
         with pytest.raises(ValueError):
             one_rdm(state)
 
@@ -230,14 +235,65 @@ class TestOneRDM:
     def test_non_finite_norm_rejected(self, value):
         space = OrbitalSpace(d=4, n=2)
         state = FermionState.from_amplitudes(space, {det(1, 2): 1.0})
-        object.__setattr__(state, "amplitudes", {det(1, 2): value})
+        object.__setattr__(state, "amps", np.array([complex(value)]))
         with pytest.raises(ValueError, match="norm"):
             one_rdm(state)
 
     @pytest.mark.parametrize("value", [complex(math.nan, 0.0), complex(1.0, math.inf)])
     def test_non_finite_amplitude_rejected(self, value):
         with pytest.raises(ValueError, match="non-finite"):
-            FermionState(OrbitalSpace(d=4, n=2), {det(1, 2): value})
+            FermionState(OrbitalSpace(d=4, n=2), [det(1, 2).mask], [value])
+
+
+class TestStateArrays:
+    def test_caller_order_kept(self):
+        space = OrbitalSpace(d=6, n=3)
+        order = [det(2, 4, 6), det(1, 2, 3), det(1, 4, 5), det(3, 5, 6)]
+        state = FermionState.from_amplitudes(space, dict(zip(order, [0.5, 0.5, 0.0, 0.5j])))
+        assert state.masks.dtype == np.uint64 and state.amps.dtype == complex
+        assert state.masks.tolist() == [d0.mask for d0 in order]
+        assert state.amps[2] == 0
+
+    def test_normalization_divides_like_python(self):
+        # each amplitude is c / |c|_2 as Python's complex division computes it
+        rng = np.random.default_rng(3)
+        basis = enumerate_slaters(OrbitalSpace(d=8, n=3))
+        values = [complex(*rng.standard_normal(2)) for _ in basis]
+        state = FermionState.from_amplitudes(OrbitalSpace(d=8, n=3), dict(zip(basis, values)))
+        norm = math.sqrt(sum(abs(c) ** 2 for c in values))
+        assert state.amps.tolist() == [c / norm for c in values]
+
+    @pytest.mark.parametrize("masks,message", [
+        ([0b0011, 0b0011], "duplicate determinant |1,2>"),
+        ([0b0011, 0b10001], "|1,5> is no n=2 determinant in d=4"),
+        ([0b0111], "|1,2,3> is no n=2 determinant in d=4"),
+    ])
+    def test_invalid_masks_rejected(self, masks, message):
+        amps = np.full(len(masks), 1.0 / math.sqrt(len(masks)))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FermionState(OrbitalSpace(d=4, n=2), masks, amps)
+
+    def test_one_amplitude_per_mask(self):
+        with pytest.raises(ValueError, match="one amplitude per mask"):
+            FermionState(OrbitalSpace(d=4, n=2), [0b0011], [0.6, 0.8])
+
+    def test_top_orbital(self):
+        space = OrbitalSpace(d=64, n=2)
+        state = FermionState(space, [(1 << 63) | 1], [1.0])
+        assert occupied(state.masks, 64)[0].nonzero()[0].tolist() == [0, 63]
+        with pytest.raises(ValueError, match="in d=63"):
+            FermionState(OrbitalSpace(d=63, n=2), [(1 << 63) | 1], [1.0])
+
+    def test_slater_masks_match_enumeration(self):
+        space = OrbitalSpace(d=7, n=3)
+        assert slater_masks(space).tolist() == [d0.mask for d0 in enumerate_slaters(space)]
+
+    @pytest.mark.parametrize("value,message", [
+        (1e200, "overflow when squared"), (complex(1e308, 1e308), "overflow when squared"),
+        (1e-200, "underflow when squared"), (1e-160, "underflow when squared")])
+    def test_extreme_magnitudes_rejected(self, value, message):
+        with pytest.raises(ValueError, match=message):
+            FermionState.from_amplitudes(OrbitalSpace(d=4, n=2), {det(1, 2): value})
 
 
 class TestNaturalOccupations:
@@ -316,15 +372,16 @@ class TestRotateOrbitals:
     def test_identity(self):
         state = bd_example_state()
         rotated = rotate_orbitals(state, np.eye(6))
-        for key, value in state.amplitudes.items():
-            assert abs(rotated.amplitude(key) - value) < 1e-14
+        after = amplitudes(rotated)
+        for key, value in amplitudes(state).items():
+            assert abs(after.get(key, 0.0) - value) < 1e-14
 
     def test_permutation_minor_sign(self):
         space = OrbitalSpace(d=3, n=2)
         state = FermionState.from_amplitudes(space, {det(1, 2): 1.0})
         swap = np.eye(3)[:, [2, 1, 0]]
         rotated = rotate_orbitals(state, swap)
-        assert abs(abs(rotated.amplitude(det(2, 3))) - 1.0) < 1e-12
+        assert abs(abs(amplitudes(rotated)[det(2, 3)]) - 1.0) < 1e-12
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError):
@@ -361,14 +418,15 @@ class TestStateIO:
         buffer.seek(0)
         loaded = read_state_json(buffer)
         assert loaded.space == state.space
-        for key, value in state.amplitudes.items():
-            assert abs(loaded.amplitude(key) - value) < 1e-12
+        after = amplitudes(loaded)
+        for key, value in amplitudes(state).items():
+            assert abs(after[key] - value) < 1e-12
 
     def test_reader_normalizes(self):
         raw = io.StringIO(
             '{"d": 4, "n": 2, "amplitudes": [{"orbitals": [1, 2], "re": 2.0, "im": 0.0}]}')
         state = read_state_json(raw)
-        assert abs(state.amplitude(det(1, 2)) - 1.0) < 1e-14
+        assert abs(amplitudes(state)[det(1, 2)] - 1.0) < 1e-14
 
     def test_reader_rejects_unsorted_orbitals(self):
         raw = io.StringIO(
@@ -384,8 +442,8 @@ class TestStateIO:
 
     def test_writer_drops_negligible_amplitudes(self):
         space = OrbitalSpace(d=4, n=2)
-        state = FermionState(space, {det(1, 2): complex(math.sqrt(1 - 1e-30)),
-                                     det(3, 4): complex(1e-15)})
+        state = FermionState(space, [det(1, 2).mask, det(3, 4).mask],
+                             [math.sqrt(1 - 1e-30), 1e-15])
         buffer = io.StringIO()
         write_state_json(state, buffer)
         assert '"orbitals": [3, 4]' not in buffer.getvalue()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import amplitudes
 from qmarginal.fock import (FermionState, OrbitalSpace, SlaterDeterminant,
                             natural_occupations, one_rdm, random_state)
 from qmarginal.gpc import (PauliConstraint, catalog, catalog_from_json,
@@ -206,6 +207,6 @@ class TestSufficiency:
     def test_facet_value_equals_twice_last_weight(self):
         target = np.array([0.9, 0.8, 0.75, 0.25, 0.2, 0.1])
         state = realize_bd_point(target)
-        weight = abs(state.amplitude(det(3, 5, 6))) ** 2
+        weight = abs(amplitudes(state)[det(3, 5, 6)]) ** 2
         value = evaluate(catalog(3, 6).by_label("bd-ineq"), target)
         assert abs(value - 2.0 * weight) < 1e-12
