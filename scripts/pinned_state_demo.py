@@ -10,10 +10,13 @@ import sys
 
 import numpy as np
 
-from qmarginal.fock import OrbitalSpace, natural_occupations, one_rdm
+from qmarginal.fock import OrbitalSpace, SlaterDeterminant, natural_occupations, one_rdm
 from qmarginal.gpc import catalog, pinning_report
-from qmarginal.selection import (bd_ansatz_state, reconstruct_ansatz,
-                                 verify_pinning_lemma, zero_eigenspace_slaters)
+from qmarginal.selection import bd_ansatz_state, verify_pinning_lemma, zero_eigenspace_slaters
+
+
+def kets(masks) -> str:
+    return " ".join(str(SlaterDeterminant(mask)) for mask in masks.tolist())
 
 
 def main() -> int:
@@ -31,13 +34,13 @@ def main() -> int:
     equalities = [cat.by_label(f"bd-eq{i}") for i in (1, 2, 3)]
     eight = zero_eigenspace_slaters(equalities, space)
     print(f"\nuniversal support from the three equalities ({len(eight)} determinants):")
-    print("  " + " ".join(str(d) for d in eight))
+    print("  " + kets(eight))
 
-    ansatz = reconstruct_ansatz(report, space)
+    ansatz = zero_eigenspace_slaters(report.saturated, space)
     print(f"support after saturating the facet too ({len(ansatz)} determinants):")
-    print("  " + " ".join(str(d) for d in ansatz))
+    print("  " + kets(ansatz))
 
-    lemma = verify_pinning_lemma(state, cat.by_label("bd-ineq"))
+    lemma, = verify_pinning_lemma(state, [cat.by_label("bd-ineq")])
     print("\noperator residual on the pinned state:", f"{lemma.residual_norm:.3e}")
     print("facet value on its occupations:", f"{lemma.constraint_value:.3e}")
     return 0

@@ -1,7 +1,6 @@
 """Natural occupation numbers, generalized Pauli constraints and pinning analysis."""
 
 from .fock import (CapacityError, FermionState, OrbitalSpace, SlaterDeterminant,
-                   apply_annihilator, apply_creator, enumerate_slaters,
                    natural_occupations, occupied, one_rdm, random_state, read_state_json,
                    rotate_orbitals, slater_masks, write_state_json)
 from .gpc import (ConstraintCatalog, PauliConstraint, PinningReport, catalog,
@@ -11,7 +10,7 @@ from .harmonium import (BasisDeficitError, GroundStateSpec, HarmoniumParams,
                         QuadratureSpec, ScanPoint, ScanResult, expand_in_hermite_basis,
                         ground_state_spec, quasipinning_scan, wavefunction)
 from .selection import (PinningLemmaReport, bd_ansatz_state, out_of_support_weight,
-                        reconstruct_ansatz, verify_pinning_lemma, zero_eigenspace_slaters)
+                        verify_pinning_lemma, zero_eigenspace_slaters)
 from .schubert import (DegenerateSpectrumError, Flag, HZReport, IndeterminateRankError,
                        InequalityVerdict, check_spectral_inequality, hersch_zwahlen_check,
                        induced_flag, partial_trace, sample_schubert_cell,

@@ -197,8 +197,14 @@ def cmd_harmonium(args, out) -> int:
             return EXIT_PRECISION_FLOOR
         return EXIT_OK
 
-    start, stop, num = args.scan.split(":")
-    kappas = np.geomspace(float(start), float(stop), int(num))
+    try:
+        start, stop, num = args.scan.split(":")
+        start, stop, num = float(start), float(stop), int(num)
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"--scan takes start:stop:count, got {args.scan!r}") from None
+    kappas = np.geomspace(start, stop, num)
     if args.n != 3:
         raise ValueError("scans are defined for n=3")
     result = harmonium.quasipinning_scan(kappas, quad=quad)
@@ -232,10 +238,7 @@ def cmd_selection(args, out) -> int:
     else:
         labels = [label.strip() for label in args.saturated.split(",") if label.strip()]
     constraints = [cat.by_label(label) for label in labels]
-    if constraints:
-        dets = selection.zero_eigenspace_slaters(constraints, space)
-    else:
-        dets = fock.enumerate_slaters(space)
+    masks = selection.zero_eigenspace_slaters(constraints, space)
 
     lemma_rows = []
     weight_outside = None
@@ -243,18 +246,17 @@ def cmd_selection(args, out) -> int:
         state = fock.read_state_json(args.state)
         if state.space != space:
             raise ValueError("state file does not match --setting")
-        for c in constraints:
-            rep = selection.verify_pinning_lemma(state, c, tol=args.pin_tol)
-            lemma_rows.append({"label": c.label, "constraint_value": rep.constraint_value,
-                               "residual_norm": rep.residual_norm,
-                               "degenerate": rep.degenerate})
-        weight_outside = selection.out_of_support_weight(state, dets)
+        reports = selection.verify_pinning_lemma(state, constraints, tol=args.pin_tol)
+        lemma_rows = [{"label": c.label, "constraint_value": rep.constraint_value,
+                       "residual_norm": rep.residual_norm, "degenerate": rep.degenerate}
+                      for c, rep in zip(constraints, reports)]
+        weight_outside = selection.out_of_support_weight(state, masks)
 
     payload = {
         "setting": {"n": n, "d": d},
         "saturated": labels,
-        "ansatz_size": len(dets),
-        "ansatz": [list(det.orbitals) for det in dets],
+        "ansatz_size": masks.size,
+        "ansatz": (fock.levels(masks, d, n) + 1).tolist(),
         "lemma_residuals": lemma_rows,
         "weight_outside_ansatz": weight_outside,
     }
@@ -262,9 +264,9 @@ def cmd_selection(args, out) -> int:
         _emit(out, dumps(payload))
     else:
         _emit(out, f"saturated: {','.join(labels) or 'none'}")
-        _emit(out, f"ansatz ({len(dets)} determinants):")
-        for det in dets:
-            _emit(out, "  " + str(det))
+        _emit(out, f"ansatz ({masks.size} determinants):")
+        for mask in masks.tolist():
+            _emit(out, f"  {fock.SlaterDeterminant(mask)}")
         for row in lemma_rows:
             _emit(out, f"lemma {row['label']}: value={_fmt(row['constraint_value'])} "
                        f"residual={_fmt(row['residual_norm'])}"
@@ -406,7 +408,9 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return EXIT_VALIDATION
     except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -26,7 +26,7 @@ RDM_NORM_TOL = 1e-8
 HERMITIAN_TOL = 1e-10
 UNITARY_TOL = 1e-10
 STATE_AMPLITUDE_CUTOFF = 1e-14
-_RDM_BLOCK = 1 << 16  # (determinant, j, k) excitations per one_rdm block
+_RDM_BLOCK = 1 << 16  # one_rdm excitations, or rotate_orbitals minors, per block
 
 
 class CapacityError(ValueError):
@@ -73,9 +73,6 @@ class SlaterDeterminant:
     def orbitals(self) -> tuple[int, ...]:
         return tuple(k + 1 for k in range(self.mask.bit_length()) if self.mask >> k & 1)
 
-    def has(self, k: int) -> bool:
-        return bool((self.mask >> (k - 1)) & 1)
-
     def __str__(self) -> str:
         return "|" + ",".join(str(k) for k in self.orbitals) + ">"
 
@@ -89,35 +86,15 @@ def slater_masks(space: OrbitalSpace) -> np.ndarray:
     return np.sort(np.bitwise_or.reduce(np.uint64(1) << levels, axis=1))
 
 
-def enumerate_slaters(space: OrbitalSpace) -> list[SlaterDeterminant]:
-    """All n-fermion determinants, ascending by bitmask value (deterministic)."""
-    return [SlaterDeterminant(mask) for mask in slater_masks(space).tolist()]
-
-
 def occupied(masks, d: int) -> np.ndarray:
     """Boolean (len(masks), d) table: entry [i, k] says whether masks[i] fills orbital k+1."""
     bits = np.left_shift(np.uint64(1), np.arange(d, dtype=np.uint64))
     return (np.asarray(masks, dtype=np.uint64)[:, None] & bits) != 0
 
 
-def _flip(det: SlaterDeterminant, k: int, filled: bool):
-    """(sign, det with orbital k flipped) if orbital k is filled == filled, else None."""
-    if k < 1 or k > MAX_ORBITALS:
-        raise ValueError(f"orbital index {k} outside [1, {MAX_ORBITALS}]")
-    bit = 1 << (k - 1)
-    if bool(det.mask & bit) != filled:
-        return None
-    return -1 if (det.mask & (bit - 1)).bit_count() & 1 else 1, SlaterDeterminant(det.mask ^ bit)
-
-
-def apply_annihilator(det: SlaterDeterminant, k: int):
-    """a_k |det>.  Returns (sign, new det) or None if orbital k is empty."""
-    return _flip(det, k, True)
-
-
-def apply_creator(det: SlaterDeterminant, k: int):
-    """a_k^dag |det>.  Returns (sign, new det) or None if orbital k is filled."""
-    return _flip(det, k, False)
+def levels(masks, d: int, n: int) -> np.ndarray:
+    """(len(masks), n) table of the occupied orbitals of n-fermion masks, 0-based, ascending."""
+    return np.nonzero(occupied(masks, d))[1].reshape(-1, n)
 
 
 @dataclass(frozen=True)
@@ -209,7 +186,7 @@ def one_rdm(state: FermionState) -> np.ndarray:
         block = masks[start:start + step]
         occ = occupied(block, d)                                # (b, d)
         below = np.cumsum(occ, axis=1) - occ                    # occupied strictly below
-        j = np.nonzero(occ)[1].reshape(-1, n)                   # (b, n), ascending
+        j = levels(block, d, n)                                 # (b, n)
         reduced = block[:, None] & ~bits[j]                     # a_j |det>
         # where k is occupied in reduced, a_k^dag gives 0 and the target holds
         # n-1 fermions, so it matches no determinant of the state
@@ -259,11 +236,17 @@ def rotate_orbitals(state: FermionState, u: np.ndarray) -> FermionState:
         raise ValueError("matrix is not unitary within tolerance")
 
     nonzero = state.amps != 0
-    cols = np.nonzero(occupied(state.masks[nonzero], d))[1].reshape(-1, n)  # (nsrc, n)
+    cols = levels(state.masks[nonzero], d, n)                   # (nsrc, n)
     amps = state.amps[nonzero]
     targets = slater_masks(state.space)
-    values = np.array([np.linalg.det(u[rows, :][:, cols].transpose(1, 0, 2)) @ amps
-                       for rows in np.nonzero(occupied(targets, d))[1].reshape(-1, n)])
+    rows = levels(targets, d, n)
+    values = np.empty(targets.size, dtype=complex)
+    # blocks of targets bound the (targets, sources, n, n) minors; a batched
+    # matmul sums each row as the 1-D dot of one target does, a 2-D one does not
+    step = max(1, _RDM_BLOCK // cols.shape[0])
+    for start in range(0, targets.size, step):
+        dets = np.linalg.det(u[rows[start:start + step, None, :, None], cols[None, :, None, :]])
+        values[start:start + step] = np.matmul(dets[:, None, :], amps[:, None])[:, 0, 0]
     targets, values = targets[values != 0], values[values != 0]
     total = sum(abs(c) ** 2 for c in values.tolist())
     if abs(total - 1.0) > UNITARY_TOL:

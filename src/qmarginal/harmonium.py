@@ -188,6 +188,8 @@ def ground_state_spec(params: HarmoniumParams) -> GroundStateSpec:
     alphas = np.array([1.0] + [omega_rel] * (n - 1))  # exponents of |Psi|^2
     g = n * (n - 1) // 2 + 2
     norm_sq = _mode_integral(n, alphas, g, integrand)
+    if not 0.0 < norm_sq < math.inf:
+        raise FloatingPointError(f"the ground state's norm integral is {norm_sq!r}")
     return GroundStateSpec(n=n, kappa=params.kappa, omega_rel=omega_rel,
                            c0=1.0 / math.sqrt(norm_sq), c1=c1, c2=c2)
 
@@ -208,9 +210,19 @@ def expand_in_hermite_basis(params: HarmoniumParams,
     Returns the normalized state and the norm deficit 1 - |c|^2 measuring the
     weight outside the truncated basis.  The quadrature is exact for the
     polynomial-times-Gaussian integrands, so the deficit is a pure basis
-    truncation measurement.
+    truncation measurement.  A kappa so strong that the expansion leaves the
+    float64 range (an overflow, or |c|^2 above 1) is a ValueError.
     """
     quad = quad or QuadratureSpec()
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _expand(params, quad)
+    except FloatingPointError as exc:
+        raise ValueError(f"the expansion at kappa={params.kappa!r}, basis_size="
+                         f"{quad.basis_size} leaves the float64 range: {exc}") from None
+
+
+def _expand(params: HarmoniumParams, quad: QuadratureSpec) -> tuple[FermionState, float]:
     d_basis = quad.basis_size
     spec = ground_state_spec(params)
     n = spec.n
@@ -305,6 +317,8 @@ def expand_in_hermite_basis(params: HarmoniumParams,
     # np.add.accumulate adds in sequence like a plain loop; np.sum's pairwise
     # order would move the last digits of every amplitude
     weight = float(np.add.accumulate(amplitudes * amplitudes)[-1])
+    if weight > 1.0 + DEFICIT_TOL:  # an exact rule keeps |c|^2 <= 1 up to rounding
+        raise FloatingPointError(f"|c|^2 = {weight:.3e} exceeds 1")
     deficit = 1.0 - weight
     if deficit > DEFICIT_TOL:
         raise BasisDeficitError(

@@ -15,44 +15,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (FermionState, OrbitalSpace, SlaterDeterminant, enumerate_slaters,
-                   natural_occupations, occupied, one_rdm, rotate_orbitals, slater_masks)
-from .gpc import PauliConstraint, PinningReport, evaluate
+from .fock import (FermionState, OrbitalSpace, SlaterDeterminant, natural_occupations,
+                   occupied, one_rdm, rotate_orbitals, slater_masks)
+from .gpc import evaluate
 
 DEGENERACY_GAP = 1e-10
 
 
-def slater_value(constraint: PauliConstraint, det: SlaterDeterminant) -> int:
-    """Integer eigenvalue of the constraint operator on one determinant."""
-    return constraint.kappa0 + sum(constraint.kappas[k - 1] for k in det.orbitals)
-
-
-def zero_eigenspace_slaters(constraints, space: OrbitalSpace) -> list[SlaterDeterminant]:
-    """Determinants annihilated by every constraint operator in the list."""
+def _check_dims(constraints, d: int) -> list:
     constraints = list(constraints)
-    if not constraints:
-        raise ValueError("need at least one constraint")
     for c in constraints:
-        if c.dim != space.d:
-            raise ValueError(f"constraint over d={c.dim}, space has d={space.d}")
-    return [det for det in enumerate_slaters(space)
-            if all(slater_value(c, det) == 0 for c in constraints)]
+        if c.dim != d:
+            raise ValueError(f"constraint over d={c.dim}, space has d={d}")
+    return constraints
 
 
-def reconstruct_ansatz(report: PinningReport, space: OrbitalSpace) -> list[SlaterDeterminant]:
-    """Support allowed for a state whose occupations produced the report.
+def zero_eigenspace_slaters(constraints, space: OrbitalSpace) -> np.ndarray:
+    """Ascending bitmasks of the determinants annihilated by every constraint operator.
 
-    With no saturated facet constraint there is no restriction and the full
-    basis is returned.
+    With no constraint that is the whole basis.
     """
-    if not report.saturated:
-        return enumerate_slaters(space)
-    return zero_eigenspace_slaters(report.saturated, space)
+    constraints = _check_dims(constraints, space.d)
+    kappa0 = np.array([c.kappa0 for c in constraints], dtype=np.int64)
+    kappas = np.array([c.kappas for c in constraints], dtype=np.int64).reshape(-1, space.d)
+    masks = slater_masks(space)
+    return masks[~(kappa0 + occupied(masks, space.d) @ kappas.T).any(axis=1)]
 
 
-def out_of_support_weight(state: FermionState, support) -> float:
-    """Weight of the state outside the given determinant list."""
-    outside = ~np.isin(state.masks, np.array([det.mask for det in support], dtype=np.uint64))
+def out_of_support_weight(state: FermionState, support: np.ndarray) -> float:
+    """Weight of the state outside the given determinant bitmasks."""
+    outside = ~np.isin(state.masks, support)
     return float(sum(abs(c) ** 2 for c in state.amps[outside].tolist()))
 
 
@@ -66,43 +58,48 @@ class PinningLemmaReport:
     note: str = ""
 
 
-def verify_pinning_lemma(state: FermionState, constraint: PauliConstraint,
-                         tol: float = 1e-8) -> PinningLemmaReport:
-    """Check that pinning of the occupations kills the operator residual.
+def verify_pinning_lemma(state: FermionState, constraints,
+                         tol: float = 1e-8) -> list[PinningLemmaReport]:
+    """Check, per constraint, that pinning of the occupations kills the operator residual.
 
-    The state is rotated into its natural-orbital basis internally.  When a
-    degenerate occupation block spans unequal constraint coefficients the
-    natural-orbital basis is not unique and the check is reported as skipped
-    rather than asserted.
+    The state is rotated into its natural-orbital basis once, internally.
+    When a degenerate occupation block spans unequal constraint coefficients
+    the natural-orbital basis is not unique and that check is reported as
+    skipped rather than asserted.
     """
-    if constraint.dim != state.space.d:
-        raise ValueError("constraint dimension does not match the state space")
-    rho = one_rdm(state)
-    lams, orbitals = natural_occupations(rho)
-    value = evaluate(constraint, lams)
-
-    degenerate = False
-    start = 0
-    for i in range(1, state.space.d + 1):
-        if i == state.space.d or lams[start] - lams[i] > DEGENERACY_GAP:
-            degenerate = degenerate or len(set(constraint.kappas[start:i])) > 1
+    d, n = state.space.d, state.space.n
+    constraints = _check_dims(constraints, d)
+    if not constraints:
+        return []
+    lams, orbitals = natural_occupations(one_rdm(state))
+    # blocks of occupations within DEGENERACY_GAP of the block's first one
+    blocks, start = [], 0
+    for i in range(1, d + 1):
+        if i == d or lams[start] - lams[i] > DEGENERACY_GAP:
+            blocks.append(slice(start, i))
             start = i
-
     rotated = rotate_orbitals(state, orbitals.conj().T)
-    values = constraint.kappa0 + occupied(rotated.masks, state.space.d) @ constraint.kappas
-    residual_sq = sum(v ** 2 * abs(c) ** 2 for v, c in zip(values.tolist(), rotated.amps.tolist()))
-    spectral_radius = int(np.max(np.abs(constraint.kappa0 + occupied(
-        slater_masks(state.space), state.space.d) @ constraint.kappas)))
-    note = "degenerate occupations across constraint coefficients; lemma check skipped" \
-        if degenerate else ""
-    return PinningLemmaReport(
-        constraint_value=value,
-        residual_norm=math.sqrt(residual_sq),
-        residual_bound=spectral_radius * tol,
-        pinned=bool(value <= tol),
-        degenerate=degenerate,
-        note=note,
-    )
+    occ = occupied(rotated.masks, d)
+    reports = []
+    for c in constraints:
+        value = evaluate(c, lams)
+        degenerate = any(len(set(c.kappas[block])) > 1 for block in blocks)
+        values = c.kappa0 + occ @ c.kappas
+        residual_sq = sum(v ** 2 * abs(a) ** 2
+                          for v, a in zip(values.tolist(), rotated.amps.tolist()))
+        # the operator's extreme eigenvalues fill the n smallest or n largest kappas
+        kappas = sorted(c.kappas)
+        spectral_radius = max(abs(c.kappa0 + sum(kappas[:n])), abs(c.kappa0 + sum(kappas[-n:])))
+        reports.append(PinningLemmaReport(
+            constraint_value=value,
+            residual_norm=math.sqrt(residual_sq),
+            residual_bound=spectral_radius * tol,
+            pinned=bool(value <= tol),
+            degenerate=degenerate,
+            note="degenerate occupations across constraint coefficients; lemma check skipped"
+            if degenerate else "",
+        ))
+    return reports
 
 
 def bd_ansatz_state(space: OrbitalSpace, alpha: complex, beta: complex,

@@ -69,8 +69,8 @@ def test_criterion_02_selection_rule_enumeration():
     expected_eight = {(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 5),
                       (2, 3, 6), (2, 4, 6), (3, 5, 6), (4, 5, 6)}
     expected_three = {(1, 2, 3), (1, 4, 5), (2, 4, 6)}
-    ok = ({d.orbitals for d in eight} == expected_eight
-          and {d.orbitals for d in three} == expected_three)
+    ok = ({SlaterDeterminant(m).orbitals for m in eight.tolist()} == expected_eight
+          and {SlaterDeterminant(m).orbitals for m in three.tolist()} == expected_three)
     assert report(2, ok, "zero-eigenspace determinant sets",
                   f"{len(eight)} and {len(three)} determinants, exact set equality")
 
@@ -86,7 +86,7 @@ def test_criterion_03_pinning_lemma_on_ansatz_states():
             continue
         produced += 1
         state = bd_ansatz_state(SPACE36, alpha, beta, gamma)
-        rep = verify_pinning_lemma(state, BD_INEQ)
+        rep, = verify_pinning_lemma(state, [BD_INEQ])
         worst_residual = max(worst_residual, rep.residual_norm)
         worst_value = max(worst_value, abs(rep.constraint_value))
     ok = worst_residual < 1e-10 and worst_value < 1e-10

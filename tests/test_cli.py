@@ -142,8 +142,16 @@ class TestSelection:
         for row in doc["lemma_residuals"]:
             assert row["residual_norm"] < 1e-10
 
-    def test_unknown_label_exits_2(self):
+    def test_unknown_label_exits_2(self, capsys):
         assert run_cli(["selection", "--setting", "3,6", "--saturated", "bogus"])[0] == 2
+        assert capsys.readouterr().err == "error: no constraint labeled 'bogus'\n"
+
+    def test_one_lemma_row_per_label_in_order(self, bd_state_file):
+        labels = ["bd-ineq", "bd-eq1", "ord-2", "bd-ineq"]
+        code, out = run_cli(["selection", "--setting", "3,6", "--saturated", ",".join(labels),
+                             "--state", bd_state_file, "--json"])
+        assert code == 0
+        assert [row["label"] for row in json.loads(out)["lemma_residuals"]] == labels
 
 
 class TestHarmonium:
@@ -179,6 +187,30 @@ class TestHarmonium:
 
     def test_requires_kappa_or_scan(self):
         assert run_cli(["harmonium", "--n", "3"])[0] == 2
+
+    @pytest.mark.parametrize("spec", ["0.1:0.2", "0.1:0.2:3:4", "a:0.2:3", "0.1:0.2:2.5",
+                                      "0.1:inf:2", "nan:0.2:2"])
+    def test_scan_spec_named(self, spec, capsys):
+        code, out = run_cli(["harmonium", "--scan", spec, "--basis", "8"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == \
+            f"error: --scan takes start:stop:count, got {spec!r}\n"
+
+    @pytest.mark.parametrize("kappa", ["1e60", "1e200", "1e300"])
+    @pytest.mark.parametrize("basis", ["4", "28"])
+    def test_huge_kappa_exits_2_naming_kappa_and_basis(self, kappa, basis, capsys):
+        code, out = run_cli(["harmonium", "--kappa", kappa, "--basis", basis, "--json"])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: the expansion at kappa={float(kappa)!r}, "
+                              f"basis_size={basis} leaves the float64 range: ")
+        assert err.count("\n") == 1
+
+    def test_norm_above_one_rejected(self, capsys):
+        # at kappa=1e35 in 4 orbitals rounding once gave |c|^2 = 1e78 and exit 3
+        code, out = run_cli(["harmonium", "--kappa", "1e35", "--basis", "4", "--json"])
+        assert code == 2 and out == ""
+        assert "exceeds 1" in capsys.readouterr().err
 
     def test_no_nodes_flag(self, capsys):
         # the node count follows from --n and --basis
@@ -368,6 +400,58 @@ class TestStateFileFuzz:
                 else:
                     assert out == ""
                     assert err.getvalue().startswith(("error: ", "invalid JSON"))
+
+
+EXTREME_KAPPAS = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.01, 1 / 3, 0.5, 2.0, 10.0, 1e3,
+                                  1e35, 1e60, 1e200, 1e300, 1.7e308, -1.0, math.nan, math.inf,
+                                  -math.inf])
+SCAN_SPECS = st.sampled_from(["0.1:0.2:2", "0.1:0.2", "a:b:c", "0.05:0.3:0", "0:0.3:2",
+                              "0.1:0.2:-1", "1e-300:0.2:2", "nan:0.2:2", "0.2:inf:2",
+                              "0.1:0.2:2:3", "", "0.2:0.9:2"])
+BITS = st.text("012", max_size=6)
+
+
+@st.composite
+def argvs(draw):
+    """harmonium, hz or ineq argv: small sizes, extreme or malformed values."""
+    command = draw(st.sampled_from(["harmonium", "hz", "ineq"]))
+    def sequence(length):  # of the right length at times
+        return draw(st.one_of(st.text("01", min_size=max(length, 0), max_size=max(length, 0)),
+                              BITS))
+
+    if command == "harmonium":
+        source = (f"--kappa={draw(EXTREME_KAPPAS)!r}" if draw(st.booleans())
+                  else f"--scan={draw(SCAN_SPECS)}")
+        argv = [command, source, "--basis", str(draw(st.integers(-1, 12))),
+                "--n", str(draw(st.sampled_from([3, 3, 2, 4, 0, 5])))]
+    elif command == "hz":
+        dim = draw(st.integers(-1, 4))
+        argv = [command, f"--dim={dim}", f"--trials={draw(st.integers(-1, 5))}",
+                f"--seed={draw(st.integers(-1, 2 ** 64))}"]
+        if draw(st.booleans()):
+            argv.append(f"--pi={sequence(dim)}")
+    else:
+        d_a, d_b = draw(st.integers(-1, 3)), draw(st.integers(-1, 3))
+        argv = [command, f"--da={d_a}", f"--db={d_b}", f"--pi={sequence(d_a)}",
+                f"--sigma={sequence(d_a * d_b)}", f"--samples={draw(st.integers(-1, 5))}",
+                f"--seed={draw(st.integers(-1, 99))}"]
+    return argv + (["--json"] if draw(st.booleans()) else [])
+
+
+class TestArgvFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(argvs())
+    def test_exit_0_2_or_3_with_json_or_an_error(self, argv):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(argv)
+        assert code in (0, 2, 3), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert out == ""
+            assert err.getvalue().startswith("error: "), (argv, err.getvalue())
+        elif "--json" in argv:
+            strict_json(out)
 
 
 class TestReproducibility:

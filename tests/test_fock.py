@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import re
 
@@ -8,16 +9,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import amplitudes
-from qmarginal.fock import (CapacityError, FermionState, OrbitalSpace,
-                            SlaterDeterminant, apply_annihilator, apply_creator,
-                            enumerate_slaters, natural_occupations, occupied, one_rdm,
-                            random_state, read_state_json, rotate_orbitals,
-                            slater_masks, write_state_json)
+from qmarginal.fock import (MAX_ORBITALS, UNITARY_TOL, CapacityError, FermionState,
+                            OrbitalSpace, SlaterDeterminant, levels, natural_occupations,
+                            occupied, one_rdm, random_state, read_state_json,
+                            rotate_orbitals, slater_masks, write_state_json)
 from qmarginal.harmonium import HarmoniumParams, QuadratureSpec, expand_in_hermite_basis
 
 
 def det(*orbitals):
     return SlaterDeterminant.from_orbitals(orbitals)
+
+
+def _flip(det: SlaterDeterminant, k: int, filled: bool):
+    """(sign, det with orbital k flipped) if orbital k is filled == filled, else None."""
+    if k < 1 or k > MAX_ORBITALS:
+        raise ValueError(f"orbital index {k} outside [1, {MAX_ORBITALS}]")
+    bit = 1 << (k - 1)
+    if bool(det.mask & bit) != filled:
+        return None
+    return -1 if (det.mask & (bit - 1)).bit_count() & 1 else 1, SlaterDeterminant(det.mask ^ bit)
+
+
+def apply_annihilator(det: SlaterDeterminant, k: int):
+    """a_k |det>.  Returns (sign, new det) or None if orbital k is empty."""
+    return _flip(det, k, True)
+
+
+def apply_creator(det: SlaterDeterminant, k: int):
+    """a_k^dag |det>.  Returns (sign, new det) or None if orbital k is filled."""
+    return _flip(det, k, False)
+
+
+def enumerate_slaters(space):
+    """All n-fermion determinants, ascending by bitmask value."""
+    return [SlaterDeterminant(mask) for mask in slater_masks(space).tolist()]
 
 
 def loop_one_rdm(state):
@@ -37,6 +62,21 @@ def loop_one_rdm(state):
                 if c_target is not None:
                     rho[j - 1, k - 1] += s1 * s2 * np.conj(c_target) * c
     return rho
+
+
+def loop_rotate_orbitals(state, u):
+    """Reference rotation: one minor determinant stack per target determinant."""
+    d, n = state.space.d, state.space.n
+    nonzero = state.amps != 0
+    cols = np.nonzero(occupied(state.masks[nonzero], d))[1].reshape(-1, n)
+    amps = state.amps[nonzero]
+    targets = slater_masks(state.space)
+    values = np.array([np.linalg.det(u[rows, :][:, cols].transpose(1, 0, 2)) @ amps
+                       for rows in np.nonzero(occupied(targets, d))[1].reshape(-1, n)])
+    targets, values = targets[values != 0], values[values != 0]
+    total = sum(abs(c) ** 2 for c in values.tolist())
+    assert abs(total - 1.0) <= UNITARY_TOL
+    return targets, values * (1.0 / math.sqrt(total))
 
 
 def sparse_state(space, orbital_sets, rng):
@@ -69,23 +109,30 @@ class TestOrbitalSpace:
 
 class TestEnumeration:
     def test_counts(self):
-        assert len(enumerate_slaters(OrbitalSpace(d=6, n=3))) == 20
-        assert len(enumerate_slaters(OrbitalSpace(d=4, n=1))) == 4
-        assert len(enumerate_slaters(OrbitalSpace(d=7, n=3))) == 35
+        assert slater_masks(OrbitalSpace(d=6, n=3)).size == 20
+        assert slater_masks(OrbitalSpace(d=4, n=1)).size == 4
+        assert slater_masks(OrbitalSpace(d=7, n=3)).size == 35
 
     def test_single_particle_basis(self):
-        dets = enumerate_slaters(OrbitalSpace(d=4, n=1))
-        assert [d.orbitals for d in dets] == [(1,), (2,), (3,), (4,)]
+        masks = slater_masks(OrbitalSpace(d=4, n=1))
+        assert levels(masks, 4, 1).tolist() == [[0], [1], [2], [3]]
 
     def test_deterministic_mask_order(self):
-        dets = enumerate_slaters(OrbitalSpace(d=6, n=3))
-        masks = [d.mask for d in dets]
+        masks = slater_masks(OrbitalSpace(d=6, n=3)).tolist()
         assert masks == sorted(masks)
-        assert all(d.mask.bit_count() == 3 for d in dets)
+        assert all(m.bit_count() == 3 for m in masks)
 
     def test_capacity_cap(self):
         with pytest.raises(CapacityError):
-            enumerate_slaters(OrbitalSpace(d=40, n=20))
+            slater_masks(OrbitalSpace(d=40, n=20))
+
+    def test_levels_list_the_orbitals(self):
+        space = OrbitalSpace(d=64, n=3)
+        masks = [det(1, 2, 64).mask, det(5, 9, 33).mask, det(62, 63, 64).mask]
+        assert (levels(masks, 64, 3) + 1).tolist() == [[1, 2, 64], [5, 9, 33], [62, 63, 64]]
+        masks = slater_masks(space)[::997]
+        assert [tuple(row) for row in (levels(masks, 64, 3) + 1).tolist()] == \
+            [SlaterDeterminant(m).orbitals for m in masks.tolist()]
 
 
 class TestOperators:
@@ -286,7 +333,9 @@ class TestStateArrays:
 
     def test_slater_masks_match_enumeration(self):
         space = OrbitalSpace(d=7, n=3)
-        assert slater_masks(space).tolist() == [d0.mask for d0 in enumerate_slaters(space)]
+        expected = sorted(det(*orbitals).mask
+                          for orbitals in itertools.combinations(range(1, 8), 3))
+        assert slater_masks(space).tolist() == expected
 
     @pytest.mark.parametrize("value,message", [
         (1e200, "overflow when squared"), (complex(1e308, 1e308), "overflow when squared"),
@@ -386,6 +435,27 @@ class TestRotateOrbitals:
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError):
             rotate_orbitals(bd_example_state(), np.eye(6) * 1.01)
+
+    @pytest.mark.parametrize("make", ["haar-3-12", "haar-4-10", "bd-3-6", "sparse-3-64"])
+    def test_bit_identical_to_the_per_target_loop(self, make):
+        rng = np.random.default_rng(12)
+        if make == "bd-3-6":
+            state = bd_example_state()
+        elif make == "sparse-3-64":
+            state = sparse_state(OrbitalSpace(d=64, n=3),
+                                 [(1, 2, 64), (1, 2, 3), (30, 31, 64)], rng)
+        else:
+            n, d = map(int, make.split("-")[1:])
+            state = random_state(OrbitalSpace(d=d, n=n), rng)
+        d = state.space.d
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        haar, _ = np.linalg.qr(g)
+        natural = natural_occupations(one_rdm(state))[1].conj().T
+        for u in (natural, haar):
+            rotated = rotate_orbitals(state, u)
+            masks, amps = loop_rotate_orbitals(state, u)
+            assert np.array_equal(rotated.masks, masks)
+            assert np.array_equal(rotated.amps, amps)
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
