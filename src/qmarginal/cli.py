@@ -204,10 +204,10 @@ def cmd_harmonium(args, out) -> int:
             raise ValueError
     except ValueError:
         raise ValueError(f"--scan takes start:stop:count, got {args.scan!r}") from None
-    kappas = np.geomspace(start, stop, num)
     if args.n != 3:
         raise ValueError("scans are defined for n=3")
-    result = harmonium.quasipinning_scan(kappas, quad=quad)
+    harmonium.check_scan_grid(num, min(start, stop), max(start, stop))
+    result = harmonium.quasipinning_scan(np.geomspace(start, stop, num), quad=quad)
     csv_text = _scan_csv(result.points)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as handle:

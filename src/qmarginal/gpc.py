@@ -66,9 +66,6 @@ class ConstraintCatalog:
     def equalities(self) -> tuple[PauliConstraint, ...]:
         return tuple(c for c in self.constraints if c.kind == "eq")
 
-    def facet_inequalities(self) -> tuple[PauliConstraint, ...]:
-        return tuple(c for c in self.constraints if c.kind == "ineq" and not c.chamber)
-
 
 def _unit(d: int, *positions: int) -> tuple[int, ...]:
     v = [0] * d

@@ -9,12 +9,15 @@ Vandermonde factor times the corresponding Gaussian.
 
 The ground state is projected onto Slater determinants of frequency-1
 oscillator eigenfunctions (so the non-interacting limit is a single
-determinant) with Gauss-Hermite quadrature after rotating to the principal
-axes of the combined Gaussian; node counts are chosen so the rule is exact
-for the polynomial-times-Gaussian integrands.  The rule is the Golub-Welsch
-construction from the Jacobi matrix of the Hermite recurrence, with weights
-from the oscillator eigenfunctions themselves (see _gh_nodes), so the module
-needs numpy alone.
+determinant).  Writing the Vandermonde factor as a determinant and the
+centre-of-mass Gaussian as a Gaussian integral over one variable v makes the
+projection a one-variable sum of single determinants, c_K ~ sum_v w_v
+det M(v)[K, :], where M(v) is the d x N matrix of one-particle integrals (see
+_expand).  Both the x-integrals in M and the v-sum are Gauss-Hermite rules
+whose node counts make them exact for the polynomial-times-Gaussian
+integrands.  The rule is the Golub-Welsch construction from the Jacobi matrix
+of the Hermite recurrence, with weights from the oscillator eigenfunctions
+themselves (see _gh_nodes), so the module needs numpy alone.
 """
 from __future__ import annotations
 
@@ -28,15 +31,18 @@ import numpy as np
 
 from .fock import MAX_ORBITALS, FermionState, OrbitalSpace, one_rdm, natural_occupations
 from .gpc import catalog, evaluate, pinning_report, truncate_spectrum
-from .linalg import one_blas_thread
 
 DEFAULT_BASIS_SIZE = 28
 DEFICIT_TOL = 1e-6
-# multiply-adds of the expansion's products: admits N=3 up to d=64 (3.0e10) and
-# N=4 up to d=18, rejects N=4 at d=28 (8.7e11) before the first node
-MAX_EXPANSION_COST = 4 * 10 ** 10
-_CHUNK = 1 << 13  # quadrature nodes evaluated at once
-_BLOCK = 1 << 9  # nodes per matrix product in the expansion
+# multiply-adds of the Leibniz sums: admits N=3 up to d=64 (3.6e7) and N=4 up
+# to d=49 (9.9e8; a d=48 point takes ~4 s on 2 vCPUs), rejects N=4 from d=50
+# (1.1e9) before any quadrature node is evaluated
+MAX_EXPANSION_COST = 10 ** 9
+_DET_BLOCK = 1 << 16  # (determinant, v-node) entries per block of the Leibniz sums
+# a scan's kappas: below 0.01 D sits at the precision floor; a d=28 point
+# takes ~30 ms, so the longest scan takes about half a minute
+SCAN_RANGE = (0.01, 0.5)
+MAX_SCAN_POINTS = 1000
 # quadrature and Jacobi rotations resolve occupations to a few eps in
 # absolute terms; facet values below ~100 eps are precision-limited
 PRECISION_FLOOR = 100 * np.finfo(float).eps
@@ -80,19 +86,19 @@ class GroundStateSpec:
 @dataclass(frozen=True)
 class QuadratureSpec:
     basis_size: int = DEFAULT_BASIS_SIZE
-    nodes: int | None = None  # per-axis Gauss-Hermite nodes; None = exactness minimum
+    nodes: int | None = None  # Gauss-Hermite nodes of the v-rule; None = exactness minimum
 
     def __post_init__(self):
         if not 1 <= self.basis_size <= MAX_ORBITALS:
             raise ValueError(f"basis_size must lie in [1, {MAX_ORBITALS}], got {self.basis_size}")
 
     def node_count(self, n: int) -> int:
-        degree = n * (self.basis_size - 1) + n * (n - 1) // 2
-        exact = (degree + 2) // 2  # smallest G with 2G-1 >= degree
+        """Size of the v-rule; the x-rule is always its exactness minimum."""
+        exact = n * (self.basis_size - 1) // 2 + 1  # smallest G with 2G-1 >= n(d-1)
         if self.nodes is None:
             return exact
         if self.nodes < exact:
-            raise ValueError(f"{self.nodes} nodes per axis are too few for an exact rule "
+            raise ValueError(f"{self.nodes} nodes are too few for an exact rule "
                              f"at n={n}, basis_size={self.basis_size}; need at least {exact}")
         return self.nodes
 
@@ -128,23 +134,15 @@ def _gh_nodes(g: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def hermite_functions(count: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Frequency-1 oscillator eigenfunctions phi_0..phi_{count-1} at x.
-
-    Written into `out`, shape (count, x.size), when it is given.
-    """
+def hermite_functions(count: int, x: np.ndarray) -> np.ndarray:
+    """Frequency-1 oscillator eigenfunctions phi_0..phi_{count-1} at x, shape (count, x.size)."""
     x = np.asarray(x, dtype=float)
-    if out is None:
-        out = np.empty((count, x.size))
+    out = np.empty((count, x.size))
     out[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
     if count > 1:
         out[1] = math.sqrt(2.0) * x * out[0]
-    scratch = np.empty_like(x)
-    for k in range(1, count - 1):  # out[k+1] = sqrt(2/(k+1))*x*out[k] - sqrt(k/(k+1))*out[k-1]
-        np.multiply(math.sqrt(2.0 / (k + 1)), x, out=scratch)
-        np.multiply(scratch, out[k], out=out[k + 1])
-        np.multiply(math.sqrt(k / (k + 1.0)), out[k - 1], out=scratch)
-        np.subtract(out[k + 1], scratch, out=out[k + 1])
+    for k in range(1, count - 1):
+        out[k + 1] = math.sqrt(2.0 / (k + 1)) * x * out[k] - math.sqrt(k / (k + 1.0)) * out[k - 1]
     return out
 
 
@@ -223,97 +221,66 @@ def expand_in_hermite_basis(params: HarmoniumParams,
 
 
 def _expand(params: HarmoniumParams, quad: QuadratureSpec) -> tuple[FermionState, float]:
-    d_basis = quad.basis_size
-    spec = ground_state_spec(params)
-    n = spec.n
+    d_basis, n = quad.basis_size, params.n
     if d_basis < n:
         raise ValueError(f"basis_size {d_basis} smaller than particle number {n}")
     g = quad.node_count(n)
-
-    q = _helmert(n)
-    t, wfree = _gh_nodes(g)
-    # principal axes of the combined Gaussian: basis functions contribute 1/2,
-    # the state contributes (c1, c2); CM exponent 1, relative (1+omega)/2
-    alphas = np.array([1.0] + [(1.0 + spec.omega_rel) / 2.0] * (n - 1))
-    axes_y = [t / math.sqrt(a) for a in alphas]
-    axes_w = [wfree / math.sqrt(a) for a in alphas]
-
-    # Parity fold.  The grid is symmetric, so node i mirrors node g^n - 1 - i
-    # through x -> -x, where Psi picks up (-1)^(n(n-1)/2) and phi_l picks up
-    # (-1)^l; the centre node of an odd grid sits at x = 0, where Psi = 0.  An
-    # amplitude whose levels sum to the parity of n(n-1)/2 is therefore twice
-    # its sum over the first g^n // 2 nodes, and every other one is exactly 0.
-    parity = n * (n - 1) // 2 % 2
-    # The amplitude tensor is antisymmetric, so only entries whose last two
-    # levels increase are formed: its last axis runs over the pairs lo < hi,
-    # grouped by the parity s of lo + hi.  Each node block multiplies the
-    # even and the odd rows of the leading axis by the one pair group that
-    # completes the allowed parity, once per level of the leading n - 3 axes.
-    # Chunks and blocks keep the arrays of a step in cache.
-    groups = [[(lo, hi) for lo in range(d_basis) for hi in range(lo + 2 - s, d_basis, 2)]
-              for s in (0, 1)]
-    sizes = [len(group) for group in groups]
-    cols = [slice(0, sizes[0]), slice(sizes[0], sizes[0] + sizes[1])]
-    pair_of = np.full((d_basis, d_basis), -1)
-    pair_of[tuple(np.array(groups[0] + groups[1]).T)] = np.arange(sizes[0] + sizes[1])
-    needed = (parity,) if n == 2 else (0, 1)
-    m_half = g ** n // 2
-    # per node: head levels x lead rows (d^(n-2) together) x pair columns
-    cost = m_half * d_basis ** (n - 2) * max(sizes)
+    perms = list(itertools.permutations(range(n)))
+    # multiply-adds of the Leibniz sums: n! products of n factors per
+    # determinant and v-node, over the half of the determinants kept below
+    cost = g * (math.comb(d_basis, n) // 2) * len(perms) * n
     if cost > MAX_EXPANSION_COST:
-        raise ValueError(f"the expansion at n={n}, basis_size={d_basis} with {g} nodes per "
-                         f"axis needs about {cost:.1e} multiply-adds, above the limit of "
+        raise ValueError(f"the expansion at n={n}, basis_size={d_basis} with {g} nodes "
+                         f"needs about {cost:.1e} multiply-adds, above the limit of "
                          f"{MAX_EXPANSION_COST:.0e}; use a smaller basis")
-    tensor = np.zeros((d_basis,) * (n - 2) + (sizes[0] + sizes[1],))
-    width = min(_BLOCK, _CHUNK, m_half)
-    # buffers reused by every chunk and block: fresh ones cost a page fault
-    # per 4 KiB touched
-    phi_buf = np.empty((n, d_basis, min(_CHUNK, m_half)))
-    pair_buf = [np.empty((size, width)) for size in sizes]
-    lead_buf = np.empty(((d_basis + 1) // 2, width))
-    with one_blas_thread():
-        for start in range(0, m_half, _CHUNK):
-            idx = np.arange(start, min(start + _CHUNK, m_half))
-            y = np.empty((n, idx.size))
-            wnode = np.ones(idx.size)
-            rem = idx
-            for a in range(n - 1, -1, -1):
-                part = rem % g
-                rem = rem // g
-                y[a] = axes_y[a][part]
-                wnode = wnode * axes_w[a][part]
-            x = q @ y
-            values = wnode * wavefunction(spec, x.T)
-            phis = [hermite_functions(d_basis, x[i], out=phi_buf[i, :, :idx.size])
-                    for i in range(n)]
-            for first in range(0, idx.size, _BLOCK):
-                nodes = slice(first, first + _BLOCK)
-                nb = min(_BLOCK, idx.size - first)
-                phi_lo, phi_hi = phis[n - 2][:, nodes], phis[n - 1][:, nodes]
-                pairs = {}
-                for s in needed:  # pair products row by row into the buffer
-                    buf, row = pair_buf[s][:, :nb], 0
-                    for lo in range(d_basis - 1):
-                        hi = phi_hi[lo + 2 - s::2]
-                        np.multiply(phi_lo[lo], hi, out=buf[row:row + hi.shape[0]])
-                        row += hi.shape[0]
-                    pairs[s] = buf
-                if n == 2:
-                    tensor[cols[parity]] += pairs[parity] @ values[nodes]
-                    continue
-                for head in itertools.product(range(d_basis), repeat=n - 3):
-                    partial = values[nodes]
-                    for axis, level in enumerate(head):
-                        partial = partial * phis[axis][level, nodes]
-                    for r in (0, 1):
-                        s = (parity - sum(head) - r) % 2
-                        rows = phis[n - 3][r::2, nodes]
-                        lead = np.multiply(rows, partial, out=lead_buf[:rows.shape[0], :nb])
-                        tensor[head][r::2, cols[s]] += lead @ pairs[s].T
+    spec = ground_state_spec(params)
 
-    scale = 2.0 * math.sqrt(math.factorial(n))  # the fold's factor 2 is exact
+    # Psi = c0 * (-1)^(n(n-1)/2) * det[x_i^j] * exp(beta*S^2 - c2*x.x) with
+    # beta = -c1 and S = sum x.  exp(beta*S^2) = int exp(-v^2 + 2*sqrt(beta)*v*S)
+    # dv / sqrt(pi) factorises the Gaussian over the particles, so the
+    # projection onto the levels K is int exp(-v^2) det M(v)[K, :] dv / sqrt(pi)
+    # with M(v)[k, j] = int phi_k(x) x^j exp(-c2*x^2 + 2*sqrt(beta)*v*x) dx.
+    # Substitute x = sqrt(beta)*v/p + t/sqrt(p) with p = c2 + 1/2, and
+    # v = u*sqrt(p): sqrt(p) is 1/sqrt(1 - xi), formed without the difference
+    # 1 - xi, which rounds to 0 at huge kappa.  Each row of M takes a factor
+    # exp(-v^2/n) of the v-Gaussian along; as p = n*beta + 1, the row's whole
+    # exponent, phi_k's Gaussian included, is then -t^2 - u^2/n, small at any
+    # kappa, and M(v)[k, j] is exp(-u^2/n) times a polynomial of degree k + j
+    # in t.  det M(v) is exp(-u^2) times a polynomial of degree n*(d-1) in u,
+    # so both Gauss-Hermite rules below are exact.
+    beta = -spec.c1
+    p = (1.0 + spec.omega_rel) / 2.0
+    u, wu = _gh_nodes(g)
+    v = u * math.sqrt(p)
+    t, wt = _gh_nodes((d_basis + n - 2) // 2 + 1)
+    x = (math.sqrt(beta) / p) * v[:, None] + t / math.sqrt(p)             # (g, gx)
+    # the row exponent less phi_k's own -x^2/2
+    fx = (wt / math.sqrt(p)) * np.exp(0.5 * x * x - t * t - (u * u / n)[:, None])
+    phi = hermite_functions(d_basis, x.ravel()).reshape(d_basis, g, -1) * fx
+    m = np.stack([(phi * x ** j).sum(axis=-1) for j in range(n)])        # (n, d, g)
+    wv = wu * math.sqrt(p)
+
+    # Psi(-x) = (-1)^(n(n-1)/2) Psi(x) and phi_l(-x) = (-1)^l phi_l(x), so only
+    # determinants whose levels sum to the parity of n(n-1)/2 can be nonzero;
+    # the others are stored as exact zeros, which keeps rho's two parity
+    # blocks exact for one_rdm and jacobi_eigh
     levels = np.array(list(itertools.combinations(range(d_basis), n)))
-    amplitudes = scale * tensor[tuple(levels[:, :-2].T) + (pair_of[levels[:, -2], levels[:, -1]],)]
+    kept = np.flatnonzero(levels.sum(axis=1) % 2 == n * (n - 1) // 2 % 2)
+    signs = [(-1) ** sum(i > j for i, j in itertools.combinations(perm, 2)) for perm in perms]
+    scale = (-1) ** (n * (n - 1) // 2) * spec.c0 * math.sqrt(math.factorial(n) / math.pi)
+    amplitudes = np.zeros(levels.shape[0])
+    step = max(1, _DET_BLOCK // g)
+    for start in range(0, kept.size, step):
+        rows = kept[start:start + step]
+        block = levels[rows]
+        dets = np.zeros((rows.size, g))
+        for sign, perm in zip(signs, perms):  # Leibniz: det = sum of signed products
+            term = m[perm[0]][block[:, 0]]
+            for i in range(1, n):
+                term *= m[perm[i]][block[:, i]]
+            dets += sign * term
+        amplitudes[rows] = scale * (dets * wv).sum(axis=1)
+
     # np.add.accumulate adds in sequence like a plain loop; np.sum's pairwise
     # order would move the last digits of every amplitude
     weight = float(np.add.accumulate(amplitudes * amplitudes)[-1])
@@ -382,6 +349,15 @@ def _log_log_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
+def check_scan_grid(count: int, lo: float, hi: float) -> None:
+    """Reject a scan of count kappas in [lo, hi] that is empty, longer than
+    MAX_SCAN_POINTS or outside SCAN_RANGE, before any grid is built."""
+    if not 1 <= count <= MAX_SCAN_POINTS:
+        raise ValueError(f"a scan takes 1 to {MAX_SCAN_POINTS} kappas, got {count}")
+    if not (SCAN_RANGE[0] <= lo and hi <= SCAN_RANGE[1]):
+        raise ValueError(f"scan grid must lie within [{SCAN_RANGE[0]}, {SCAN_RANGE[1]}]")
+
+
 def quasipinning_scan(kappas: Sequence[float],
                       quad: QuadratureSpec | None = None) -> ScanResult:
     """Facet distance and Hartree-Fock distance along a kappa grid.
@@ -393,10 +369,7 @@ def quasipinning_scan(kappas: Sequence[float],
     finite-window kappa-slope.
     """
     kappas = [float(k) for k in kappas]
-    if not kappas:
-        raise ValueError("empty kappa grid")
-    if min(kappas) < 0.01 or max(kappas) > 0.5:
-        raise ValueError("scan grid must lie within [0.01, 0.5]")
+    check_scan_grid(len(kappas), min(kappas, default=0.0), max(kappas, default=0.0))
     quad = quad or QuadratureSpec()
     points = sorted((point(k, 3, quad) for k in kappas), key=lambda p: p.kappa)
     omegas = [ground_state_spec(HarmoniumParams(n=3, kappa=p.kappa)).omega_rel for p in points]

@@ -12,17 +12,10 @@ product and sum rounds as numpy's elementwise operations do, so the result is
 bit for bit that of a whole-matrix sweep on numpy rows and columns (the tests
 keep that sweep as the reference); numpy may fuse the products of a complex
 multiply, so for complex input the two differ by a few ulps.
-
-Also holds ``one_blas_thread``, which runs numpy's matrix products on a
-single BLAS thread for the duration of a ``with`` block.
 """
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
 import math
-from pathlib import Path
 
 import numpy as np
 
@@ -132,41 +125,3 @@ def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         v[np.ix_(block, block)] = np.array(columns, dtype=kind).T
     order = np.argsort(lams, kind="stable")[::-1]
     return lams[order], v[:, order]
-
-
-@functools.lru_cache(maxsize=None)
-def _openblas_threads():
-    """(set, get) for the thread count of numpy's bundled OpenBLAS, or None."""
-    root = Path(np.__file__).resolve().parent
-    for folder in (root.parent / "numpy.libs", root / ".dylibs"):  # wheel layouts
-        for path in sorted(folder.glob("*scipy_openblas64_*")):
-            lib = ctypes.CDLL(str(path))
-            setter = lib.scipy_openblas_set_num_threads64_
-            getter = lib.scipy_openblas_get_num_threads64_
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            getter.argtypes, getter.restype = [], ctypes.c_int
-            return setter, getter
-    return None
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Run numpy's BLAS calls inside the block on one thread.
-
-    A threaded product waits for its slowest thread, and OpenBLAS keeps its
-    idle workers spinning between calls, so a loop of modest products runs
-    only a little faster on two threads but its time follows how busy the
-    machine's other cores are.  The previous thread count is restored on
-    exit.  Where numpy's BLAS is not its bundled OpenBLAS this does nothing.
-    """
-    calls = _openblas_threads()
-    if calls is None:
-        yield
-        return
-    setter, getter = calls
-    before = getter()
-    setter(1)
-    try:
-        yield
-    finally:
-        setter(before)

@@ -259,13 +259,6 @@ def partial_trace(rho_ab: np.ndarray, d_a: int, d_b: int, keep: str = "A") -> np
     raise ValueError("keep must be 'A' or 'B'")
 
 
-def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via phase-fixed QR."""
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
 def random_pure_density(d: int, rng: np.random.Generator) -> np.ndarray:
     psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     psi /= np.linalg.norm(psi)

@@ -207,10 +207,35 @@ class TestHarmonium:
         assert err.count("\n") == 1
 
     def test_norm_above_one_rejected(self, capsys):
-        # at kappa=1e35 in 4 orbitals rounding once gave |c|^2 = 1e78 and exit 3
+        # at kappa=1e35 in 4 orbitals rounding once gave |c|^2 = 1e78 and exit 3;
+        # the |c|^2 > 1 guard itself is tested in test_harmonium
         code, out = run_cli(["harmonium", "--kappa", "1e35", "--basis", "4", "--json"])
         assert code == 2 and out == ""
-        assert "exceeds 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            "error: norm deficit 1.000e+00 exceeds 1.0e-06; increase basis_size beyond 4\n"
+
+    def test_four_particles_in_28_orbitals(self):
+        code, out = run_cli(["harmonium", "--n", "4", "--basis", "28", "--kappa", "0.25",
+                             "--json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert abs(doc["norm_deficit"]) <= 1e-6
+        assert doc["nodes"] == 55
+
+    @pytest.mark.parametrize("spec", ["0.1:0.2:1001", "0.1:0.2:1000000",
+                                      "0.1:0.2:10000000000000000000", "0.1:0.2:0"])
+    def test_scan_count_capped_before_the_grid(self, spec, capsys):
+        code, out = run_cli(["harmonium", "--scan", spec, "--basis", "8"])
+        assert code == 2 and out == ""
+        count = spec.split(":")[2]
+        assert capsys.readouterr().err == f"error: a scan takes 1 to 1000 kappas, got {count}\n"
+
+    @pytest.mark.parametrize("spec", ["0.005:0.2:3", "0.1:0.6:3", "0.6:0.1:3", "0:0.2:3",
+                                      "1e-300:0.2:1000"])
+    def test_scan_range_checked_before_the_grid(self, spec, capsys):
+        code, out = run_cli(["harmonium", "--scan", spec, "--basis", "8"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "error: scan grid must lie within [0.01, 0.5]\n"
 
     def test_no_nodes_flag(self, capsys):
         # the node count follows from --n and --basis
@@ -264,7 +289,7 @@ class TestInputsCheckedAtTheBoundary:
         ["hz", "--dim", "13", "--json"],
         ["hz", "--dim", "3", "--trials", "-2"],
         ["ineq", "--da", "2", "--db", "2", "--pi", "10", "--sigma", "0001", "--samples", "-5"],
-        ["harmonium", "--n", "4", "--basis", "28", "--kappa", "0.25"],
+        ["harmonium", "--n", "4", "--basis", "64", "--kappa", "0.25"],
     ])
     def test_rejected_with_exit_2(self, argv, capsys):
         code, out = run_cli(argv)

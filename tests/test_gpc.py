@@ -48,7 +48,8 @@ class TestCatalog:
     def test_unknown_setting_partial(self):
         cat = catalog(3, 7)
         assert cat.completeness == "partial"
-        assert [c.label for c in cat.facet_inequalities()] == ["pauli-top", "pauli-bottom"]
+        facets = [c.label for c in cat.constraints if c.kind == "ineq" and not c.chamber]
+        assert facets == ["pauli-top", "pauli-bottom"]
 
     def test_rejects_n_above_d(self):
         with pytest.raises(ValueError):

@@ -27,10 +27,13 @@ def spectrum(kappa, n=3, basis=16, nodes=None):
 
 
 def full_tensor_amplitudes(params, quad):
-    """Reference expansion: the whole d^n projection tensor over the full node
-    grid at once, one matrix product per level of its leading n - 2 axes."""
+    """Reference expansion: the whole d^n projection tensor over the full grid
+    of g^n nodes in the principal axes of the combined Gaussian, one matrix
+    product per level of its leading n - 2 axes.  g is quad.nodes, or else
+    the smallest count exact for the degree n*(d-1) + n*(n-1)/2 integrands."""
     spec = ground_state_spec(params)
-    n, d, g = spec.n, quad.basis_size, quad.node_count(spec.n)
+    n, d = spec.n, quad.basis_size
+    g = quad.nodes or (n * (d - 1) + n * (n - 1) // 2 + 2) // 2
     t, w = roots_hermite(g)
     wfree = w * np.exp(t * t)
     alphas = [1.0] + [(1.0 + spec.omega_rel) / 2.0] * (n - 1)
@@ -186,21 +189,32 @@ class TestExpansion:
                                     QuadratureSpec(basis_size=4))
 
     def test_too_few_nodes_rejected(self):
-        # 3 nodes per axis integrate a basis of 10 inexactly: the expansion ran
-        # and reported a norm deficit of -2.9
+        # a v-rule of 3 nodes integrates a basis of 10 inexactly
         quad = QuadratureSpec(basis_size=10, nodes=3)
         with pytest.raises(ValueError, match="too few"):
             quad.node_count(3)
         with pytest.raises(ValueError, match="too few"):
             expand_in_hermite_basis(HarmoniumParams(n=3, kappa=0.2), quad)
-        assert QuadratureSpec(basis_size=10, nodes=16).node_count(3) == 16
+        assert QuadratureSpec(basis_size=10, nodes=14).node_count(3) == 14
+        assert QuadratureSpec(basis_size=10).node_count(3) == 14
+        assert QuadratureSpec(basis_size=28).node_count(3) == 41
 
     def test_cost_guard(self, monkeypatch):
-        # N=4 at d=28 needs ~8.7e11 multiply-adds: rejected before any node
-        monkeypatch.setattr(harmonium, "wavefunction", None)
+        # N=4 at d=64 needs ~3.9e9 multiply-adds: rejected before any
+        # quadrature work, the ground state's normalisation included
+        monkeypatch.setattr(harmonium, "ground_state_spec", None)
         with pytest.raises(ValueError, match="multiply-adds"):
             expand_in_hermite_basis(HarmoniumParams(n=4, kappa=0.25),
-                                    QuadratureSpec(basis_size=28))
+                                    QuadratureSpec(basis_size=64))
+
+    def test_norm_above_one_rejected(self, monkeypatch):
+        # doubled weights scale the norm integral by 2^n and the sums of each
+        # amplitude by 2^(n+1), so |c|^2 grows by 2^(n+2), to 32 at n=3
+        doubled = harmonium._gh_nodes
+        monkeypatch.setattr(harmonium, "_gh_nodes", lambda g: (doubled(g)[0], 2 * doubled(g)[1]))
+        with pytest.raises(ValueError, match=r"^the expansion at kappa=0\.2, basis_size=10 "
+                           r"leaves the float64 range: \|c\|\^2 = 3\.200e\+01 exceeds 1$"):
+            expand_in_hermite_basis(HarmoniumParams(n=3, kappa=0.2), QuadratureSpec(basis_size=10))
 
     def test_basis_beyond_bitmask_capacity_rejected(self):
         # at construction, before an expansion that cannot be stored
@@ -222,7 +236,8 @@ class TestExpansion:
         (2, 0.25, 10, 10), (2, 0.25, 10, 11), (3, 0.2, 10, 16), (3, 0.2, 10, 17),
         (4, 0.1, 8, 18), (4, 0.1, 8, 19)])
     def test_parity_fold_matches_full_grid(self, n, kappa, basis, nodes):
-        # half the grid, doubled, against every node of an even and an odd grid
+        # the parity rule, with an even and an odd v-rule, against the full
+        # grid of as many nodes per axis: wrong-parity amplitudes are exact zeros
         params = HarmoniumParams(n=n, kappa=kappa)
         quad = QuadratureSpec(basis_size=basis, nodes=nodes)
         state, _ = expand_in_hermite_basis(params, quad)
@@ -237,7 +252,7 @@ class TestExpansion:
 
     @pytest.mark.parametrize("g", [1, 2, 19, 42, 43, 57, 150, 151, 160])
     def test_gauss_hermite_grid_is_mirror_symmetric(self, g):
-        # the fold needs the grid symmetric bit for bit, centre node at 0
+        # symmetrised bit for bit, centre node at 0
         t, w = harmonium._gh_nodes(g)
         assert np.array_equal(t, -t[::-1])
         assert np.array_equal(w, w[::-1])
@@ -252,35 +267,14 @@ class TestExpansion:
         assert amplitudes(state).keys() == reference.keys()
         assert max(abs(c - reference[det]) for det, c in amplitudes(state).items()) < 1e-13
 
-    def test_node_blocks_and_chunks_change_nothing(self, monkeypatch):
-        # ragged node blocks inside ragged chunks against one block and chunk
-        params, quad = HarmoniumParams(n=3, kappa=0.2), QuadratureSpec(basis_size=10)
-        monkeypatch.setattr(harmonium, "_CHUNK", 10 ** 6)
-        monkeypatch.setattr(harmonium, "_BLOCK", 10 ** 6)
+    def test_determinant_blocks_change_nothing(self, monkeypatch):
+        # each amplitude is formed from its own row, whatever the block
+        params, quad = HarmoniumParams(n=4, kappa=0.2), QuadratureSpec(basis_size=10)
         whole, deficit_whole = expand_in_hermite_basis(params, quad)
-        monkeypatch.setattr(harmonium, "_CHUNK", 1000)
-        monkeypatch.setattr(harmonium, "_BLOCK", 77)
+        monkeypatch.setattr(harmonium, "_DET_BLOCK", 77)  # 4 determinants a block, the last ragged
         blocked, deficit_blocked = expand_in_hermite_basis(params, quad)
-        assert abs(deficit_whole - deficit_blocked) < 1e-14
-        amps_whole = amplitudes(whole)
-        assert max(abs(c - amps_whole[det])
-                   for det, c in amplitudes(blocked).items()) < 1e-14
-
-    def test_one_blas_thread_scope(self):
-        calls = linalg._openblas_threads()
-        if calls is None:
-            pytest.skip("numpy does not use its bundled OpenBLAS here")
-        _, get = calls
-        before = get()
-        with linalg.one_blas_thread():
-            assert get() == 1
-            expand_in_hermite_basis(HarmoniumParams(n=3, kappa=0.2), QuadratureSpec(basis_size=8))
-            assert get() == 1
-        assert get() == before
-        with pytest.raises(RuntimeError):
-            with linalg.one_blas_thread():
-                raise RuntimeError
-        assert get() == before
+        assert np.array_equal(whole.amps, blocked.amps)
+        assert deficit_whole == deficit_blocked
 
     def test_wavefunction_antisymmetry(self):
         spec = ground_state_spec(HarmoniumParams(n=3, kappa=0.2))
@@ -386,8 +380,6 @@ class TestOccupationSpectra:
             assert np.max(np.abs(pairs[:, 0] - pairs[:, 1])) < 1e-9
 
     def test_n4_expansion_runs(self):
-        # four particles work on small grids; quartic grids grow fast, so keep
-        # the basis modest
         _, lams, deficit = spectrum(0.1, n=4, basis=8)
         assert abs(deficit) < 1e-6
         expected = np.zeros(8)
@@ -429,6 +421,18 @@ class TestFrozenReferenceValues:
         assert abs(deficit) < 1e-12
         assert d_value == pytest.approx(5.9112e-9, rel=1e-3)
         assert eps6 == pytest.approx(2.534e-9, rel=1e-2)
+
+    def test_point_at_one_third_within_the_benchmark_anchor(self):
+        # the benchmark checks D(1/3, N=3, d=28) against its anchor to 1e-15
+        point = harmonium.point(1.0 / 3.0)
+        assert abs(point.d_value - 5.9112099659586193e-09) <= 1e-15
+
+    def test_rho_splits_into_two_parity_blocks(self):
+        # wrong-parity amplitudes are exact zeros, so rho's parity blocks are
+        # exact and jacobi_eigh diagonalises two 14 x 14 blocks
+        state, _ = expand_in_hermite_basis(HarmoniumParams(n=3, kappa=1.0 / 3.0))
+        rho = one_rdm(state)
+        assert linalg._blocks(rho != 0) == [list(range(0, 28, 2)), list(range(1, 28, 2))]
 
     def test_hf_distance_at_one_third(self):
         _, lams, _ = spectrum(1.0 / 3.0, basis=28)

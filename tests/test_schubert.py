@@ -6,8 +6,15 @@ from hypothesis import strategies as st
 from qmarginal.schubert import (DegenerateSpectrumError, Flag, check_spectral_inequality,
                                 hersch_zwahlen_check, induced_flag, partial_trace,
                                 random_mixed_density, random_pure_density,
-                                random_unitary, sample_schubert_cell,
+                                sample_schubert_cell,
                                 schubert_membership, standard_flag)
+
+
+def random_unitary(d, rng):
+    """Haar-distributed unitary via phase-fixed QR."""
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(g)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 def random_hermitian(d, seed):
