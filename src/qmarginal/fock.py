@@ -26,7 +26,7 @@ RDM_NORM_TOL = 1e-8
 HERMITIAN_TOL = 1e-10
 UNITARY_TOL = 1e-10
 STATE_AMPLITUDE_CUTOFF = 1e-14
-_RDM_BLOCK = 1 << 16  # one_rdm excitations, or rotate_orbitals minors, per block
+_MINOR_BLOCK = 1 << 16  # (target, source) minors per block of rotate_orbitals
 
 
 class CapacityError(ValueError):
@@ -159,53 +159,39 @@ def random_state(space: OrbitalSpace, rng: np.random.Generator) -> FermionState:
     return FermionState(space, masks, c)
 
 
+def _hole_matrix(masks: np.ndarray, amps: np.ndarray, d: int, n: int) -> np.ndarray:
+    """The hole matrix A of ``one_rdm`` for these determinants and amplitudes."""
+    # levels ascend, so column i of j holds the orbital with i occupied below it
+    j = levels(masks, d, n)                                     # (m, n)
+    bits = np.left_shift(np.uint64(1), np.arange(d, dtype=np.uint64))
+    rows, index = np.unique(masks[:, None] ^ bits[j], return_inverse=True)
+    a = np.zeros((rows.size, d), dtype=complex)
+    # numpy 2.0.0 returns the inverse flat, later releases in the input's shape
+    a[index.reshape(masks.size, n), j] = amps[:, None] * (1.0 - 2.0 * (np.arange(n) % 2))
+    return a
+
+
 def one_rdm(state: FermionState) -> np.ndarray:
     """1-particle reduced density matrix, rho[j-1, k-1] = <a_k^dag a_j>.
 
-    Hermitian, positive semidefinite, trace n.
+    Hermitian, positive semidefinite, trace n.  It is Löwdin's contraction over
+    the n-1 fermions left after one is removed, one matrix product
+    rho = A^T conj(A) over the hole matrix A: a row per distinct (n-1)-fermion
+    mask R, with A[R, j-1] = (-1)^i c_K for each determinant K = R + {j} in
+    which j is the i-th occupied orbital (i from 0, orbitals ascending).
     """
     d, n = state.space.d, state.space.n
     if not abs(np.vdot(state.amps, state.amps).real - 1.0) <= RDM_NORM_TOL:
         raise ValueError("state norm deviates from 1 beyond tolerance")
-    # a zero amplitude only adds terms of +-0 to rho, so dropping it leaves
-    # rho bit for bit the same
+    # a zero amplitude would only add terms of +-0 to rho
     nonzero = state.amps != 0
-    masks, amps = state.masks[nonzero], state.amps[nonzero]
-    m = masks.size
-    order = np.argsort(masks)
-    sorted_masks = masks[order]
-    bits = np.left_shift(np.uint64(1), np.arange(d, dtype=np.uint64))
-
-    # Every (determinant, j, k) excitation a_k^dag a_j, laid out determinant-
-    # major, then j and k ascending: np.add.at adds in that order, the order
-    # of the plain loop over determinants, so each entry sums its terms in
-    # the same sequence.  Blocks bound the (dets, n, d) temporaries.
-    rho = np.zeros(d * d, dtype=complex)
-    step = max(1, _RDM_BLOCK // (n * d))
-    for start in range(0, m, step):
-        block = masks[start:start + step]
-        occ = occupied(block, d)                                # (b, d)
-        below = np.cumsum(occ, axis=1) - occ                    # occupied strictly below
-        j = levels(block, d, n)                                 # (b, n)
-        reduced = block[:, None] & ~bits[j]                     # a_j |det>
-        # where k is occupied in reduced, a_k^dag gives 0 and the target holds
-        # n-1 fermions, so it matches no determinant of the state
-        targets = reduced[:, :, None] | bits                    # (b, n, d)
-        # sign of a_j on det, then of a_k^dag on the reduced determinant
-        parity = (np.take_along_axis(below, j, axis=1)[:, :, None]
-                  + below[:, None, :] - (np.arange(d) > j[:, :, None]))
-        pos = np.minimum(np.searchsorted(sorted_masks, targets), m - 1)
-        hit = sorted_masks[pos] == targets
-        sign = 1.0 - 2.0 * (parity[hit] & 1)
-        c_target = amps[order[pos[hit]]]
-        c = np.broadcast_to(amps[start:start + step, None, None], hit.shape)[hit]
-        # sign * conj(c_target) * c, spelled out in real arithmetic: numpy's
-        # vectorised complex product may round differently from a scalar one
-        term = np.empty(c.shape, dtype=complex)
-        term.real = sign * (c_target.real * c.real + c_target.imag * c.imag)
-        term.imag = sign * (c_target.real * c.imag - c_target.imag * c.real)
-        np.add.at(rho, (j[:, :, None] * d + np.arange(d))[hit], term)
-    return rho.reshape(d, d)
+    # A is built in a frame of its own, so its (dets, n) index tables are
+    # freed before the product and its conjugate copy
+    a = _hole_matrix(state.masks[nonzero], state.amps[nonzero], d, n)
+    rho = a.T @ a.conj()
+    # exactly Hermitian; where the product already is (real amplitudes), no
+    # bit changes
+    return (rho + rho.conj().T) / 2
 
 
 def natural_occupations(rdm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -243,7 +229,7 @@ def rotate_orbitals(state: FermionState, u: np.ndarray) -> FermionState:
     values = np.empty(targets.size, dtype=complex)
     # blocks of targets bound the (targets, sources, n, n) minors; a batched
     # matmul sums each row as the 1-D dot of one target does, a 2-D one does not
-    step = max(1, _RDM_BLOCK // cols.shape[0])
+    step = max(1, _MINOR_BLOCK // cols.shape[0])
     for start in range(0, targets.size, step):
         dets = np.linalg.det(u[rows[start:start + step, None, :, None], cols[None, :, None, :]])
         values[start:start + step] = np.matmul(dets[:, None, :], amps[:, None])[:, 0, 0]

@@ -39,8 +39,8 @@ DEFICIT_TOL = 1e-6
 # (1.1e9) before any quadrature node is evaluated
 MAX_EXPANSION_COST = 10 ** 9
 _DET_BLOCK = 1 << 16  # (determinant, v-node) entries per block of the Leibniz sums
-# a scan's kappas: below 0.01 D sits at the precision floor; a d=28 point
-# takes ~30 ms, so the longest scan takes about half a minute
+# a scan's kappas: below 0.01 D sits at the precision floor; a warm d=28
+# point takes ~15 ms on 2 vCPUs, and the longest scan (1000 kappas) 15 s
 SCAN_RANGE = (0.01, 0.5)
 MAX_SCAN_POINTS = 1000
 # quadrature and Jacobi rotations resolve occupations to a few eps in

@@ -56,7 +56,8 @@ def _jacobi_block(w: list, kind: type) -> list:
     n = len(w)
     one, zero = kind(1), kind(0)
     v = [[one if i == j else zero for i in range(n)] for j in range(n)]
-    for _ in range(_MAX_SWEEPS):
+    # the sweep after the last allowed one only checks that no rotation is due
+    for sweep in range(_MAX_SWEEPS + 1):
         rotated = False
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -66,6 +67,8 @@ def _jacobi_block(w: list, kind: type) -> list:
                     continue
                 if absg <= _REL_TOL * math.sqrt(abs(w[p][p].real * w[q][q].real)):
                     continue
+                if sweep == _MAX_SWEEPS:
+                    raise ValueError(f"Jacobi rotations did not converge in {_MAX_SWEEPS} sweeps")
                 rotated = True
                 phase = g / absg
                 tau = (w[q][q].real - w[p][p].real) / (2.0 * absg)
@@ -89,8 +92,7 @@ def _jacobi_block(w: list, kind: type) -> list:
                 v[p] = [c * x - sc * y for x, y in zip(vec_p, vec_q)]
                 v[q] = [sp * x + c * y for x, y in zip(vec_p, vec_q)]
         if not rotated:
-            break
-    return v
+            return v
 
 
 def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,11 +105,14 @@ def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A rotation inside one block of the exact-nonzero pattern leaves the exact
     zeros around the block untouched, so each block is diagonalised on its
-    own, at the cost of its size alone.
+    own, at the cost of its size alone.  Non-finite entries, and a rotation
+    still due after ``_MAX_SWEEPS`` sweeps, raise ``ValueError``.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
     n = a.shape[0]
     complex_input = np.iscomplexobj(a)
     if complex_input and np.max(np.abs(a.imag)) == 0.0:

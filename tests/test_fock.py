@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import amplitudes
+from qmarginal import linalg
 from qmarginal.fock import (MAX_ORBITALS, UNITARY_TOL, CapacityError, FermionState,
                             OrbitalSpace, SlaterDeterminant, levels, natural_occupations,
                             occupied, one_rdm, random_state, read_state_json,
@@ -247,10 +248,37 @@ class TestOneRDM:
             assert np.max(np.abs(one_rdm(state) - loop_one_rdm(state))) <= 1e-15
         assert abs(one_rdm(top)[63, 2]) > 0  # |1,2,64> <-> |1,2,3>
 
-    def test_bit_identical_to_loop_on_harmonium_state(self):
+    def test_matches_loop_on_harmonium_state(self):
         state, _ = expand_in_hermite_basis(HarmoniumParams(n=3, kappa=1.0 / 3.0),
                                            QuadratureSpec(basis_size=12))
-        assert np.array_equal(one_rdm(state), loop_one_rdm(state))
+        rho = one_rdm(state)
+        assert np.max(np.abs(rho - loop_one_rdm(state))) <= 1e-15
+        assert np.array_equal(rho, rho.conj().T)
+        # the wrong-parity amplitudes are exact zeros, so no cross-parity term survives
+        assert linalg._blocks(rho != 0) == [list(range(0, 12, 2)), list(range(1, 12, 2))]
+
+    def test_one_fermion_is_the_outer_product(self):
+        state = random_state(OrbitalSpace(d=7, n=1), np.random.default_rng(5))
+        c = state.amps[np.argsort(state.masks)]
+        assert np.max(np.abs(one_rdm(state) - np.outer(c, c.conj()))) <= 1e-15
+
+    def test_full_shell_is_the_identity(self):
+        space = OrbitalSpace(d=6, n=6)
+        state = FermionState.from_amplitudes(space, {det(*range(1, 7)): 1.0})
+        assert np.array_equal(one_rdm(state), np.eye(6))
+
+    @pytest.mark.parametrize("amplitude", [1.0, -1.0, 1j, -1j])
+    def test_single_determinant_bit_for_bit(self, amplitude):
+        space = OrbitalSpace(d=8, n=3)
+        state = FermionState.from_amplitudes(space, {det(2, 5, 8): amplitude})
+        assert np.array_equal(one_rdm(state), np.diag([0, 1, 0, 0, 1, 0, 0, 1]))
+
+    @pytest.mark.parametrize("n,d", [(3, 12), (4, 10), (5, 9)])
+    def test_exactly_hermitian_on_complex_states(self, n, d):
+        for seed in range(5):
+            state = random_state(OrbitalSpace(d=d, n=n), np.random.default_rng(seed))
+            rho = one_rdm(state)
+            assert np.array_equal(rho, rho.conj().T)
 
     @pytest.mark.parametrize("complex_amps", [False, True])
     def test_zero_amplitudes_change_nothing(self, complex_amps):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qmarginal import linalg
 from qmarginal.fock import one_rdm
 from qmarginal.harmonium import HarmoniumParams, QuadratureSpec, expand_in_hermite_basis
 from qmarginal.linalg import _ABS_FLOOR, _MAX_SWEEPS, _REL_TOL, jacobi_eigh
@@ -118,3 +119,19 @@ def test_complex_hermitian_close_to_reference():
     assert np.max(np.abs(lams - ref_lams)) <= a.shape[0] * np.finfo(float).eps * scale
     assert np.max(np.abs(a @ v - v * lams)) < 1e-13
     assert np.max(np.abs(v.conj().T @ v - np.eye(a.shape[0]))) < 1e-13
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_non_finite_input_rejected(value):
+    a = np.eye(4, dtype=complex)
+    a[1, 2] = a[2, 1] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        jacobi_eigh(a)
+
+
+def test_unconverged_sweeps_raise(monkeypatch):
+    # one sweep cannot diagonalise a dense 6 x 6 matrix: the next sweep would rotate
+    g = np.random.default_rng(9).standard_normal((6, 6))
+    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+    with pytest.raises(ValueError, match="did not converge in 1 sweeps"):
+        jacobi_eigh(g + g.T)
