@@ -10,6 +10,7 @@ process that SIGPIPE ended) when the reader closed stdout early.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -118,7 +119,7 @@ def _print_report_text(out, report: gpc.PinningReport) -> None:
 
 def cmd_non(args, out) -> int:
     state = fock.read_state_json(args.state)
-    lams, orbitals = fock.natural_occupations(fock.one_rdm(state))
+    lams, orbitals = fock.natural_occupations(fock.one_rdm(state), vectors=args.orbitals)
     if args.json:
         payload = {"d": state.space.d, "n": state.space.n,
                    "occupations": [float(v) for v in lams]}
@@ -148,7 +149,7 @@ def cmd_gpc(args, out) -> int:
         n, d = _parse_setting(args.setting)
     else:
         state = fock.read_state_json(args.state)
-        lams, _ = fock.natural_occupations(fock.one_rdm(state))
+        lams, _ = fock.natural_occupations(fock.one_rdm(state), vectors=False)
         n, d = (state.space.n, state.space.d) if args.setting is None \
             else _parse_setting(args.setting)
     truncation_weight = None
@@ -331,7 +332,9 @@ def cmd_ineq(args, out) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qmarg",
         description="occupation spectra, generalized Pauli constraints, pinning analysis")

@@ -9,7 +9,6 @@ an operator a_k / a_k^dag acting on a determinant picks up
 from __future__ import annotations
 
 import cmath
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -77,12 +76,27 @@ class SlaterDeterminant:
         return "|" + ",".join(str(k) for k in self.orbitals) + ">"
 
 
+def level_table(d: int, n: int) -> np.ndarray:
+    """(C(d, n), n) table of the n-subsets of range(d), 1 <= n <= d, each row
+    ascending and the rows in the lexicographic order of itertools.combinations."""
+    table = np.zeros((1, 0), dtype=np.intp)
+    low = np.zeros(1, dtype=np.intp)  # the least next level of each row
+    for j in range(n):
+        # a row extends by each level low .. d-n+j, leaving room for the rest
+        counts = d - n + j + 1 - low
+        offsets = np.cumsum(counts) - counts - low
+        level = np.arange(counts.sum()) - np.repeat(offsets, counts)
+        table = np.column_stack([np.repeat(table, counts, axis=0), level])
+        low = level + 1
+    return table
+
+
 def slater_masks(space: OrbitalSpace) -> np.ndarray:
     """All n-fermion determinants as uint64 bitmasks, ascending (deterministic)."""
     size = space.basis_size
     if size > BASIS_CAP:
         raise CapacityError(f"basis size C({space.d},{space.n}) = {size} exceeds cap {BASIS_CAP}")
-    levels = np.array(list(itertools.combinations(range(space.d), space.n)), dtype=np.uint64)
+    levels = level_table(space.d, space.n).astype(np.uint64)
     return np.sort(np.bitwise_or.reduce(np.uint64(1) << levels, axis=1))
 
 
@@ -194,18 +208,21 @@ def one_rdm(state: FermionState) -> np.ndarray:
     return (rho + rho.conj().T) / 2
 
 
-def natural_occupations(rdm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def natural_occupations(rdm: np.ndarray,
+                        vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Decreasing eigenvalues of a 1-RDM and the natural orbitals (columns).
 
     Within a degenerate block the orbital order is whatever the eigensolver
-    produces; only the occupation values are contractual.
+    produces; only the occupation values are contractual.  With
+    ``vectors=False`` the orbitals are not formed and come back as None; the
+    occupations are the same bit for bit.
     """
     rdm = np.asarray(rdm)
     if not np.all(np.isfinite(rdm)):
         raise ValueError("matrix has non-finite entries")
     if np.max(np.abs(rdm - rdm.conj().T)) > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
-    return jacobi_eigh(rdm)
+    return jacobi_eigh(rdm, vectors)
 
 
 def rotate_orbitals(state: FermionState, u: np.ndarray) -> FermionState:
@@ -253,21 +270,25 @@ def write_state_json(state: FermionState, fp) -> None:
             json.dump(doc, handle)
 
 
+def _entry_error(index: int, entry, reason: str) -> ValueError:
+    """The error for a rejected state-file entry; the entry is quoted only here."""
+    return ValueError(f"amplitude entry {index} ({json.dumps(entry)[:80]}): {reason}")
+
+
 def _read_entry(index: int, entry) -> tuple[int, complex]:
     """Bitmask and amplitude of the index-th state-file entry."""
-    where = f"amplitude entry {index} ({json.dumps(entry)[:80]})"
     if not isinstance(entry, dict) or not {"orbitals", "re"} <= entry.keys():
-        raise ValueError(f'{where}: need an object with "orbitals", "re" and optionally "im"')
+        raise _entry_error(index, entry, 'need an object with "orbitals", "re" and optionally "im"')
     orbitals = entry["orbitals"]
     if (not isinstance(orbitals, list) or any(type(k) is not int for k in orbitals)
             or any(a >= b for a, b in zip([0, *orbitals], [*orbitals, MAX_ORBITALS + 1]))):
-        raise ValueError(f"{where}: need strictly increasing orbitals in [1, {MAX_ORBITALS}]")
+        raise _entry_error(index, entry, f"need strictly increasing orbitals in [1, {MAX_ORBITALS}]")
     try:
         c = complex(float(entry["re"]), float(entry.get("im", 0.0)))
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{where}: re and im must be numbers in the float range") from None
+        raise _entry_error(index, entry, "re and im must be numbers in the float range") from None
     if not cmath.isfinite(c):
-        raise ValueError(f"{where}: amplitude is not finite: {c!r}")
+        raise _entry_error(index, entry, f"amplitude is not finite: {c!r}")
     return SlaterDeterminant.from_orbitals(orbitals).mask, c
 
 

@@ -29,7 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import MAX_ORBITALS, FermionState, OrbitalSpace, one_rdm, natural_occupations
+from .fock import (MAX_ORBITALS, FermionState, OrbitalSpace, level_table, natural_occupations,
+                   one_rdm)
 from .gpc import catalog, evaluate, pinning_report, truncate_spectrum
 
 DEFAULT_BASIS_SIZE = 28
@@ -40,7 +41,7 @@ DEFICIT_TOL = 1e-6
 MAX_EXPANSION_COST = 10 ** 9
 _DET_BLOCK = 1 << 16  # (determinant, v-node) entries per block of the Leibniz sums
 # a scan's kappas: below 0.01 D sits at the precision floor; a warm d=28
-# point takes ~15 ms on 2 vCPUs, and the longest scan (1000 kappas) 15 s
+# point takes ~8 ms on 2 vCPUs, and the longest scan (1000 kappas) 10 s
 SCAN_RANGE = (0.01, 0.5)
 MAX_SCAN_POINTS = 1000
 # quadrature and Jacobi rotations resolve occupations to a few eps in
@@ -264,7 +265,7 @@ def _expand(params: HarmoniumParams, quad: QuadratureSpec) -> tuple[FermionState
     # determinants whose levels sum to the parity of n(n-1)/2 can be nonzero;
     # the others are stored as exact zeros, which keeps rho's two parity
     # blocks exact for one_rdm and jacobi_eigh
-    levels = np.array(list(itertools.combinations(range(d_basis), n)))
+    levels = level_table(d_basis, n)
     kept = np.flatnonzero(levels.sum(axis=1) % 2 == n * (n - 1) // 2 % 2)
     signs = [(-1) ** sum(i > j for i, j in itertools.combinations(perm, 2)) for perm in perms]
     scale = (-1) ** (n * (n - 1) // 2) * spec.c0 * math.sqrt(math.factorial(n) / math.pi)
@@ -326,7 +327,7 @@ def point(kappa: float, n: int = 3, quad: QuadratureSpec | None = None) -> ScanP
     """
     quad = quad or QuadratureSpec()
     state, deficit = expand_in_hermite_basis(HarmoniumParams(n=n, kappa=kappa), quad)
-    lams, _ = natural_occupations(one_rdm(state))
+    lams, _ = natural_occupations(one_rdm(state), vectors=False)
     lam6, eps6 = truncate_spectrum(lams, min(6, lams.size))
     if n == 3 and lams.size >= 6:
         d_value = evaluate(catalog(3, 6).by_label("bd-ineq"), lam6)

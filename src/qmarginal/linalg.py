@@ -11,7 +11,10 @@ rotated in scalar Python arithmetic on nested lists.  For real input each
 product and sum rounds as numpy's elementwise operations do, so the result is
 bit for bit that of a whole-matrix sweep on numpy rows and columns (the tests
 keep that sweep as the reference); numpy may fuse the products of a complex
-multiply, so for complex input the two differ by a few ulps.
+multiply, so for complex input the two differ by a few ulps.  An
+eigenvalue-only call runs the same rotations and skips just the eigenvector
+updates, which no rotation reads, so its eigenvalues are bit for bit those of
+a call that also returns the eigenvectors.
 """
 from __future__ import annotations
 
@@ -46,16 +49,17 @@ def _blocks(nonzero: np.ndarray) -> list[list[int]]:
     return blocks
 
 
-def _jacobi_block(w: list, kind: type) -> list:
+def _jacobi_block(w: list, kind: type, vectors: bool) -> list | None:
     """Cyclic Jacobi on nested lists of Python numbers of type ``kind``, in place.
 
     ``w`` (rows) ends up diagonal; the return value holds the eigenvectors as
-    a list of columns.  Each rotation performs, entry by entry, the scalar
-    operations of a column update followed by a row update, in that order.
+    a list of columns, or is None when ``vectors`` is false.  Each rotation
+    performs, entry by entry, the scalar operations of a column update
+    followed by a row update, in that order.
     """
     n = len(w)
     one, zero = kind(1), kind(0)
-    v = [[one if i == j else zero for i in range(n)] for j in range(n)]
+    v = [[one if i == j else zero for i in range(n)] for j in range(n)] if vectors else None
     # the sweep after the last allowed one only checks that no rotation is due
     for sweep in range(_MAX_SWEEPS + 1):
         rotated = False
@@ -88,6 +92,8 @@ def _jacobi_block(w: list, kind: type) -> list:
                 w[p][q] = w[q][p] = zero
                 w[p][p] = kind(w[p][p].real)
                 w[q][q] = kind(w[q][q].real)
+                if not vectors:
+                    continue
                 vec_p, vec_q = v[p], v[q]
                 v[p] = [c * x - sc * y for x, y in zip(vec_p, vec_q)]
                 v[q] = [sp * x + c * y for x, y in zip(vec_p, vec_q)]
@@ -95,13 +101,15 @@ def _jacobi_block(w: list, kind: type) -> list:
             return v
 
 
-def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def jacobi_eigh(a: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Eigenvalues (descending) and eigenvectors of a Hermitian matrix.
 
     Returns ``(lams, v)`` with ``a @ v[:, i] = lams[i] * v[:, i]``; columns of
-    ``v`` are orthonormal.  Rotations are skipped once the off-diagonal entry
-    is below ``_REL_TOL * sqrt(|a_pp * a_qq|)``, the Demmel-Veselic criterion
-    that preserves relative accuracy for graded matrices.
+    ``v`` are orthonormal.  With ``vectors=False`` the eigenvector updates are
+    skipped and ``v`` is None; ``lams`` is unchanged bit for bit.  Rotations
+    are skipped once the off-diagonal entry is below
+    ``_REL_TOL * sqrt(|a_pp * a_qq|)``, the Demmel-Veselic criterion that
+    preserves relative accuracy for graded matrices.
 
     A rotation inside one block of the exact-nonzero pattern leaves the exact
     zeros around the block untouched, so each block is diagonalised on its
@@ -121,12 +129,13 @@ def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     kind = complex if complex_input else float
     w = np.array(a, dtype=kind)
     lams = np.empty(n)
-    v = np.zeros((n, n), dtype=kind)
+    v = np.zeros((n, n), dtype=kind) if vectors else None
     nonzero = w != 0
     for block in _blocks(nonzero | nonzero.T):
         rows = w[np.ix_(block, block)].tolist()
-        columns = _jacobi_block(rows, kind)
+        columns = _jacobi_block(rows, kind, vectors)
         lams[block] = [rows[i][i].real for i in range(len(block))]
-        v[np.ix_(block, block)] = np.array(columns, dtype=kind).T
+        if vectors:
+            v[np.ix_(block, block)] = np.array(columns, dtype=kind).T
     order = np.argsort(lams, kind="stable")[::-1]
-    return lams[order], v[:, order]
+    return lams[order], v[:, order] if vectors else None

@@ -1,5 +1,6 @@
 import io
 import itertools
+import json
 import math
 import re
 
@@ -11,9 +12,9 @@ from hypothesis import strategies as st
 from conftest import amplitudes
 from qmarginal import linalg
 from qmarginal.fock import (MAX_ORBITALS, UNITARY_TOL, CapacityError, FermionState,
-                            OrbitalSpace, SlaterDeterminant, levels, natural_occupations,
-                            occupied, one_rdm, random_state, read_state_json,
-                            rotate_orbitals, slater_masks, write_state_json)
+                            OrbitalSpace, SlaterDeterminant, level_table, levels,
+                            natural_occupations, occupied, one_rdm, random_state,
+                            read_state_json, rotate_orbitals, slater_masks, write_state_json)
 from qmarginal.harmonium import HarmoniumParams, QuadratureSpec, expand_in_hermite_basis
 
 
@@ -126,6 +127,14 @@ class TestEnumeration:
     def test_capacity_cap(self):
         with pytest.raises(CapacityError):
             slater_masks(OrbitalSpace(d=40, n=20))
+
+    @pytest.mark.parametrize("d,n", [(1, 1), (6, 1), (6, 6), (10, 4), (28, 3), (64, 3), (20, 10)])
+    def test_level_table_matches_itertools(self, d, n):
+        table = level_table(d, n)
+        expected = np.array(list(itertools.combinations(range(d), n)))
+        assert table.shape == (math.comb(d, n), n)
+        assert table.dtype == expected.dtype
+        assert np.array_equal(table, expected)
 
     def test_levels_list_the_orbitals(self):
         space = OrbitalSpace(d=64, n=3)
@@ -398,6 +407,12 @@ class TestNaturalOccupations:
         with pytest.raises(ValueError):
             natural_occupations(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_occupations_alone_match(self):
+        rdm = one_rdm(random_state(OrbitalSpace(d=8, n=3), np.random.default_rng(38)))
+        lams, orbitals = natural_occupations(rdm, vectors=False)
+        assert orbitals is None
+        assert np.array_equal(lams, natural_occupations(rdm)[0])
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_rejected(self, value):
         with pytest.raises(ValueError, match="non-finite"):
@@ -531,6 +546,26 @@ class TestStateIO:
             '{"d": 4, "n": 2, "amplitudes": [{"orbitals": [2, 1], "re": 1.0, "im": 0.0}]}')
         with pytest.raises(ValueError):
             read_state_json(raw)
+
+    @pytest.mark.parametrize("entries,message", [
+        ([{"orbitals": [1, 2], "re": 1.0}, {"orbitals": [2, 1], "re": 1.0, "im": 0.0}],
+         'amplitude entry 2 ({"orbitals": [2, 1], "re": 1.0, "im": 0.0}): '
+         'need strictly increasing orbitals in [1, 64]'),
+        ([["not", "an", "object"]],
+         'amplitude entry 1 (["not", "an", "object"]): '
+         'need an object with "orbitals", "re" and optionally "im"'),
+        ([{"orbitals": [1, 2], "re": "x", "note": "a long note that pushes the entry past 80"}],
+         'amplitude entry 1 ({"orbitals": [1, 2], "re": "x", "note": "a long note that pushes '
+         'the entry past ): re and im must be numbers in the float range'),
+        ([{"orbitals": [1, 2], "re": 1e308, "im": math.inf}],
+         'amplitude entry 1 ({"orbitals": [1, 2], "re": 1e+308, "im": Infinity}): '
+         'amplitude is not finite: (1e+308+infj)')],
+        ids=["orbitals", "object", "number", "finite"])
+    def test_reader_rejection_message_verbatim(self, entries, message):
+        raw = io.StringIO(json.dumps({"d": 4, "n": 2, "amplitudes": entries}))
+        with pytest.raises(ValueError) as excinfo:
+            read_state_json(raw)
+        assert str(excinfo.value) == message
 
     def test_reader_rejects_wrong_particle_count(self):
         raw = io.StringIO(

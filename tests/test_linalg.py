@@ -65,6 +65,14 @@ def assert_bitwise_equal(a):
     assert v.dtype == ref_v.dtype
     assert np.array_equal(lams, ref_lams)
     assert np.array_equal(v, ref_v)
+    assert_values_alone_equal(a, lams)
+
+
+def assert_values_alone_equal(a, lams):
+    """An eigenvalue-only call gives the same eigenvalues, bit for bit, and no vectors."""
+    lams_alone, v_alone = jacobi_eigh(a, vectors=False)
+    assert v_alone is None
+    assert np.array_equal(lams_alone, lams)
 
 
 @pytest.mark.parametrize("n,kappa,basis", [
@@ -114,6 +122,7 @@ def test_complex_hermitian_close_to_reference():
     g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     a = (g + g.conj().T) / 4.0
     lams, v = jacobi_eigh(a)
+    assert_values_alone_equal(a, lams)
     ref_lams, _ = loop_jacobi_eigh(a)
     scale = np.max(np.abs(ref_lams))
     assert np.max(np.abs(lams - ref_lams)) <= a.shape[0] * np.finfo(float).eps * scale
@@ -121,17 +130,19 @@ def test_complex_hermitian_close_to_reference():
     assert np.max(np.abs(v.conj().T @ v - np.eye(a.shape[0]))) < 1e-13
 
 
+@pytest.mark.parametrize("vectors", [True, False])
 @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, math.nan)])
-def test_non_finite_input_rejected(value):
+def test_non_finite_input_rejected(value, vectors):
     a = np.eye(4, dtype=complex)
     a[1, 2] = a[2, 1] = value
     with pytest.raises(ValueError, match="non-finite"):
-        jacobi_eigh(a)
+        jacobi_eigh(a, vectors)
 
 
-def test_unconverged_sweeps_raise(monkeypatch):
+@pytest.mark.parametrize("vectors", [True, False])
+def test_unconverged_sweeps_raise(monkeypatch, vectors):
     # one sweep cannot diagonalise a dense 6 x 6 matrix: the next sweep would rotate
     g = np.random.default_rng(9).standard_normal((6, 6))
     monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
     with pytest.raises(ValueError, match="did not converge in 1 sweeps"):
-        jacobi_eigh(g + g.T)
+        jacobi_eigh(g + g.T, vectors)
