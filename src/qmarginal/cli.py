@@ -67,10 +67,11 @@ def _parse_bits(text: str) -> tuple[int, ...]:
 
 
 def _parse_setting(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"setting must be 'N,d', got {text!r}")
-    return int(parts[0]), int(parts[1])
+    try:
+        n, d = (int(part) for part in text.split(","))
+    except ValueError:
+        raise ValueError(f"setting must be 'N,d', got {text!r}") from None
+    return n, d
 
 
 def _check_pin_tol(value: float) -> None:
@@ -183,11 +184,10 @@ def _scan_csv(points) -> str:
 def cmd_harmonium(args, out) -> int:
     if (args.kappa is None) == (args.scan is None):
         raise ValueError("provide exactly one of --kappa or --scan")
-    quad = harmonium.QuadratureSpec(basis_size=args.basis)
     if args.kappa is not None:
-        point = harmonium.point(args.kappa, args.n, quad)
+        point = harmonium.point(args.kappa, args.n, args.basis)
         payload = {**_point_row(point),
-                   "basis_size": quad.basis_size, "nodes": quad.node_count(args.n)}
+                   "basis_size": args.basis, "nodes": harmonium.node_count(args.n, args.basis)}
         if args.json:
             _emit(out, dumps(payload))
         else:
@@ -208,15 +208,15 @@ def cmd_harmonium(args, out) -> int:
     if args.n != 3:
         raise ValueError("scans are defined for n=3")
     harmonium.check_scan_grid(num, min(start, stop), max(start, stop))
-    result = harmonium.quasipinning_scan(np.geomspace(start, stop, num), quad=quad)
+    result = harmonium.quasipinning_scan(np.geomspace(start, stop, num), args.basis)
     csv_text = _scan_csv(result.points)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as handle:
             handle.write(csv_text)
     summary = {"points": [_point_row(p) for p in result.points],
                "d_exponent": result.d_slope, "hf_exponent": result.hf_slope,
-               "basis_size": result.basis_size, "nodes": result.nodes,
-               "precision_floor": result.floor}
+               "basis_size": args.basis, "nodes": harmonium.node_count(3, args.basis),
+               "precision_floor": harmonium.PRECISION_FLOOR}
     if args.json:
         _emit(out, dumps(summary))
     else:

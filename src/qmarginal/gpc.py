@@ -100,6 +100,8 @@ def catalog(n: int, d: int) -> ConstraintCatalog:
     and lam_d >= 0, and the ordering chamber conditions.  Settings present in
     the embedded table add their specific constraints.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
     if n > d:
         raise ValueError(f"need n <= d, got n={n}, d={d}")
     constraints = [

@@ -5,7 +5,11 @@ dimensionless relative interaction strength kappa = N*K/(m*omega^2) of the
 pair coupling (K/2) * sum_{i,j} (x_i - x_j)^2.  The center-of-mass mode keeps
 frequency 1 while every relative normal mode is stiffened to
 omega_rel = sqrt(1 + 2*kappa), and the exact N-fermion ground state is the
-Vandermonde factor times the corresponding Gaussian.
+Vandermonde factor times the corresponding Gaussian.  Its norm follows from
+Mehta's integral int prod_{i<j}(x_i-x_j)^2 exp(-x.x/2) dx = (2 pi)^(N/2)
+prod_{j<=N} j! (M. L. Mehta, Random Matrices, 3rd ed., ch. 17) by scaling the
+relative modes to omega_rel, so the state is known in closed form and the
+basis size is the only numerical input.
 
 The ground state is projected onto Slater determinants of frequency-1
 oscillator eigenfunctions (so the non-interacting limit is a single
@@ -25,7 +29,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -66,11 +70,6 @@ class HarmoniumParams:
         if self.kappa < 0:
             raise ValueError("attractive regime kappa < 0 is not supported")
 
-    @property
-    def coupling(self) -> float:
-        """Pair coupling K in trap units."""
-        return self.kappa / self.n
-
 
 @dataclass(frozen=True)
 class GroundStateSpec:
@@ -84,34 +83,9 @@ class GroundStateSpec:
     c2: float
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    basis_size: int = DEFAULT_BASIS_SIZE
-    nodes: int | None = None  # Gauss-Hermite nodes of the v-rule; None = exactness minimum
-
-    def __post_init__(self):
-        if not 1 <= self.basis_size <= MAX_ORBITALS:
-            raise ValueError(f"basis_size must lie in [1, {MAX_ORBITALS}], got {self.basis_size}")
-
-    def node_count(self, n: int) -> int:
-        """Size of the v-rule; the x-rule is always its exactness minimum."""
-        exact = n * (self.basis_size - 1) // 2 + 1  # smallest G with 2G-1 >= n(d-1)
-        if self.nodes is None:
-            return exact
-        if self.nodes < exact:
-            raise ValueError(f"{self.nodes} nodes are too few for an exact rule "
-                             f"at n={n}, basis_size={self.basis_size}; need at least {exact}")
-        return self.nodes
-
-
-def _helmert(n: int) -> np.ndarray:
-    """Orthogonal normal-mode matrix; column 0 is the center of mass."""
-    q = np.zeros((n, n))
-    q[:, 0] = 1.0 / math.sqrt(n)
-    for a in range(1, n):
-        q[:a, a] = 1.0 / math.sqrt(a * (a + 1))
-        q[a, a] = -a / math.sqrt(a * (a + 1))
-    return q
+def node_count(n: int, basis_size: int) -> int:
+    """Size of the v-rule: the smallest G with 2G-1 >= n(d-1), exact for det M(v)."""
+    return n * (basis_size - 1) // 2 + 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -147,63 +121,30 @@ def hermite_functions(count: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _vandermonde(xs: np.ndarray) -> np.ndarray:
-    v = np.ones(xs.shape[1])
-    for i, j in itertools.combinations(range(xs.shape[0]), 2):
-        v = v * (xs[i] - xs[j])
-    return v
-
-
-def _mode_integral(spec_n: int, alphas: np.ndarray, g: int, func) -> float:
-    """Integrate func(x) over the full product grid in normal-mode coordinates.
-
-    alphas are the Gaussian exponents per mode of the *integrand*; func
-    receives particle coordinates (n, m) and must include every Gaussian
-    factor itself.
-    """
-    q = _helmert(spec_n)
-    t, wfree = _gh_nodes(g)
-    axes_y = [t / math.sqrt(a) for a in alphas]
-    axes_w = [wfree / math.sqrt(a) for a in alphas]
-    grids = np.meshgrid(*axes_y, indexing="ij")
-    y = np.stack([grid.ravel() for grid in grids])
-    weights = np.ones(y.shape[1])
-    for wg in np.meshgrid(*axes_w, indexing="ij"):
-        weights = weights * wg.ravel()
-    return float(weights @ func(q @ y))
-
-
 def ground_state_spec(params: HarmoniumParams) -> GroundStateSpec:
-    """Exponents from the normal-mode split; c0 from numerical normalization."""
+    """Exponents from the normal-mode split; c0 from Mehta's integral.
+
+    |Psi|^2 / c0^2 is exp(-y_0^2) in the center of mass y_0 = sum(x)/sqrt(n)
+    times the translation-invariant Vandermonde square under exp(-omega_rel *
+    y_rel.y_rel), so the norm is Mehta's integral with the relative modes
+    scaled to omega_rel: their n - 1 Gaussian widths and the degree n(n-1) of
+    the Vandermonde square give the factor omega_rel^(-(n^2-1)/2).
+    """
     n = params.n
     omega_rel = math.sqrt(1.0 + 2.0 * params.kappa)
     c1 = (1.0 - omega_rel) / (2.0 * n)
     c2 = omega_rel / 2.0
-
-    def integrand(x):
-        expo = -2.0 * c1 * x.sum(axis=0) ** 2 - 2.0 * c2 * (x ** 2).sum(axis=0)
-        return _vandermonde(x) ** 2 * np.exp(expo)
-
-    alphas = np.array([1.0] + [omega_rel] * (n - 1))  # exponents of |Psi|^2
-    g = n * (n - 1) // 2 + 2
-    norm_sq = _mode_integral(n, alphas, g, integrand)
+    norm_sq = (math.pi ** (n / 2) * 2.0 ** (-n * (n - 1) / 2)
+               * math.prod(math.factorial(j) for j in range(1, n + 1))
+               * omega_rel ** (-(n * n - 1) / 2))
     if not 0.0 < norm_sq < math.inf:
         raise FloatingPointError(f"the ground state's norm integral is {norm_sq!r}")
     return GroundStateSpec(n=n, kappa=params.kappa, omega_rel=omega_rel,
                            c0=1.0 / math.sqrt(norm_sq), c1=c1, c2=c2)
 
 
-def wavefunction(spec: GroundStateSpec, coords: np.ndarray) -> np.ndarray:
-    """Ground-state values at coords of shape (..., n)."""
-    coords = np.asarray(coords, dtype=float)
-    x = np.atleast_2d(coords).reshape(-1, spec.n).T
-    expo = -spec.c1 * x.sum(axis=0) ** 2 - spec.c2 * (x ** 2).sum(axis=0)
-    values = spec.c0 * _vandermonde(x) * np.exp(expo)
-    return values.reshape(coords.shape[:-1])
-
-
-def expand_in_hermite_basis(params: HarmoniumParams,
-                            quad: QuadratureSpec | None = None) -> tuple[FermionState, float]:
+def expand_in_hermite_basis(params: HarmoniumParams, basis_size: int = DEFAULT_BASIS_SIZE
+                            ) -> tuple[FermionState, float]:
     """Wedge amplitudes over frequency-1 Hermite determinants.
 
     Returns the normalized state and the norm deficit 1 - |c|^2 measuring the
@@ -212,20 +153,21 @@ def expand_in_hermite_basis(params: HarmoniumParams,
     truncation measurement.  A kappa so strong that the expansion leaves the
     float64 range (an overflow, or |c|^2 above 1) is a ValueError.
     """
-    quad = quad or QuadratureSpec()
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return _expand(params, quad)
+            return _expand(params, basis_size)
     except FloatingPointError as exc:
         raise ValueError(f"the expansion at kappa={params.kappa!r}, basis_size="
-                         f"{quad.basis_size} leaves the float64 range: {exc}") from None
+                         f"{basis_size} leaves the float64 range: {exc}") from None
 
 
-def _expand(params: HarmoniumParams, quad: QuadratureSpec) -> tuple[FermionState, float]:
-    d_basis, n = quad.basis_size, params.n
+def _expand(params: HarmoniumParams, d_basis: int) -> tuple[FermionState, float]:
+    n = params.n
+    if not 1 <= d_basis <= MAX_ORBITALS:
+        raise ValueError(f"basis_size must lie in [1, {MAX_ORBITALS}], got {d_basis}")
     if d_basis < n:
         raise ValueError(f"basis_size {d_basis} smaller than particle number {n}")
-    g = quad.node_count(n)
+    g = node_count(n, d_basis)
     perms = list(itertools.permutations(range(n)))
     # multiply-adds of the Leibniz sums: n! products of n factors per
     # determinant and v-node, over the half of the determinants kept below
@@ -313,20 +255,16 @@ class ScanResult:
     points: tuple[ScanPoint, ...]
     d_slope: float
     hf_slope: float
-    basis_size: int
-    nodes: int
-    floor: float
 
 
-def point(kappa: float, n: int = 3, quad: QuadratureSpec | None = None) -> ScanPoint:
+def point(kappa: float, n: int = 3, basis_size: int = DEFAULT_BASIS_SIZE) -> ScanPoint:
     """Facet value, Hartree-Fock distance and truncation weights at one kappa.
 
     For n = 3 in at least 6 orbitals the facet value is the Borland-Dennis
     inequality bd-ineq on the 6 largest occupations; otherwise it is the
     smallest constraint value of the catalog for those occupations.
     """
-    quad = quad or QuadratureSpec()
-    state, deficit = expand_in_hermite_basis(HarmoniumParams(n=n, kappa=kappa), quad)
+    state, deficit = expand_in_hermite_basis(HarmoniumParams(n=n, kappa=kappa), basis_size)
     lams, _ = natural_occupations(one_rdm(state), vectors=False)
     lam6, eps6 = truncate_spectrum(lams, min(6, lams.size))
     if n == 3 and lams.size >= 6:
@@ -341,9 +279,9 @@ def point(kappa: float, n: int = 3, quad: QuadratureSpec | None = None) -> ScanP
                      precision_floor=bool(abs(d_value) < PRECISION_FLOOR))
 
 
-def _log_log_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Least-squares slope of ln y against ln x over the points with y > 0."""
-    pairs = [(x, y) for x, y in zip(xs, ys) if y > 0]
+def _log_log_slope(pairs: Iterable[tuple[float, float]]) -> float:
+    """Least-squares slope of ln y against ln x over the (x, y) pairs with y > 0."""
+    pairs = [(x, y) for x, y in pairs if y > 0]
     if len(pairs) < 2:
         return float("nan")
     x, y = np.log(np.array(pairs)).T
@@ -360,23 +298,22 @@ def check_scan_grid(count: int, lo: float, hi: float) -> None:
 
 
 def quasipinning_scan(kappas: Sequence[float],
-                      quad: QuadratureSpec | None = None) -> ScanResult:
+                      basis_size: int = DEFAULT_BASIS_SIZE) -> ScanResult:
     """Facet distance and Hartree-Fock distance along a kappa grid.
 
     d_slope and hf_slope are log-log least-squares exponents against the
     squeeze parameter xi = (omega_rel - 1)/(omega_rel + 1), which is
     proportional to kappa as kappa -> 0 in every normalisation of kappa, so
     they estimate the asymptotic exponents (8 and 4 for N = 3) rather than a
-    finite-window kappa-slope.
+    finite-window kappa-slope.  d_slope fits only the points above the
+    precision floor: D there is rounding noise, and one ulp in c0 moves it.
     """
     kappas = [float(k) for k in kappas]
     check_scan_grid(len(kappas), min(kappas, default=0.0), max(kappas, default=0.0))
-    quad = quad or QuadratureSpec()
-    points = sorted((point(k, 3, quad) for k in kappas), key=lambda p: p.kappa)
-    omegas = [ground_state_spec(HarmoniumParams(n=3, kappa=p.kappa)).omega_rel for p in points]
+    points = sorted((point(k, 3, basis_size) for k in kappas), key=lambda p: p.kappa)
+    omegas = [math.sqrt(1.0 + 2.0 * p.kappa) for p in points]
     xis = [(w - 1.0) / (w + 1.0) for w in omegas]
     return ScanResult(points=tuple(points),
-                      d_slope=_log_log_slope(xis, [p.d_value for p in points]),
-                      hf_slope=_log_log_slope(xis, [p.hf_distance for p in points]),
-                      basis_size=quad.basis_size, nodes=quad.node_count(3),
-                      floor=PRECISION_FLOOR)
+                      d_slope=_log_log_slope((xi, p.d_value) for xi, p in zip(xis, points)
+                                             if not p.precision_floor),
+                      hf_slope=_log_log_slope((xi, p.hf_distance) for xi, p in zip(xis, points)))

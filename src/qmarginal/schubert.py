@@ -61,10 +61,6 @@ class Flag:
         return self.basis[:, :i]
 
 
-def standard_flag(d: int) -> Flag:
-    return Flag(np.eye(d, dtype=complex))
-
-
 def induced_flag(a: np.ndarray) -> Flag:
     """Flag of eigenvectors ordered by decreasing eigenvalue.
 
@@ -137,31 +133,6 @@ def schubert_membership(frame: np.ndarray, flag: Flag, pi: Sequence[int]) -> boo
     return True
 
 
-def sample_schubert_cell(flag: Flag, pi: Sequence[int],
-                         rng: np.random.Generator) -> np.ndarray:
-    """Random member of the open cell, by its echelon parameterization.
-
-    Relative to the flag basis, row r has a pivot 1 at the r-th position of a
-    1 in pi, free complex Gaussian entries at earlier non-pivot positions and
-    zeros elsewhere; the span always realizes the jump pattern pi.
-    """
-    d = flag.dim
-    pi = _validate_pi(pi, d)
-    pivots = [i for i, b in enumerate(pi) if b]
-    k = len(pivots)
-    coeff = np.zeros((d, k), dtype=complex)
-    for r, piv in enumerate(pivots):
-        coeff[piv, r] = 1.0
-        for j in range(piv):
-            if j not in pivots:
-                coeff[j, r] = rng.standard_normal() + 1j * rng.standard_normal()
-    frame = flag.basis @ coeff
-    if k == 0:
-        return frame
-    q, _ = np.linalg.qr(frame)
-    return q
-
-
 @dataclass(frozen=True)
 class HZReport:
     pi: tuple[int, ...]
@@ -194,13 +165,17 @@ def _trial_normals(seed: int, start: int, stop: int, width: int) -> np.ndarray:
 
 def _sample_cell_frames(flag: Flag, pi: tuple[int, ...], trials: range,
                         seed: int) -> np.ndarray:
-    """sample_schubert_cell with default_rng([seed, t]) for each trial t, stacked.
+    """Random members of the open cell, one per trial t, stacked.
 
-    A generator's standard_normal(m) yields the numbers of m scalar calls, so
-    the prefix of each trial's row, scattered over the free echelon entries
-    in the order the scalar sampler draws them (pivot row r ascending, then
-    position j ascending, real part before imaginary), rebuilds its frames.
-    The rows are drawn once for every sequence of the same dimension.
+    Relative to the flag basis, row r of the echelon parameterization has a
+    pivot 1 at the r-th position of a 1 in pi, free complex Gaussian entries
+    at earlier non-pivot positions and zeros elsewhere, so the span always
+    realizes the jump pattern pi.  Trial t draws its entries from
+    default_rng([seed, t]) in the order of a scalar sampler (pivot row r
+    ascending, then position j ascending, real part before imaginary): a
+    generator's standard_normal(m) yields the numbers of m scalar calls, so
+    the prefix of each trial's row holds them.  The rows are drawn once for
+    every sequence of the same dimension.
     """
     d = flag.dim
     pivots = [i for i, b in enumerate(pi) if b]

@@ -28,8 +28,8 @@ from qmarginal.cli import main as cli_main
 from qmarginal.fock import (FermionState, OrbitalSpace, SlaterDeterminant,
                             natural_occupations, one_rdm, random_state)
 from qmarginal.gpc import catalog, evaluate, truncate_spectrum
-from qmarginal.harmonium import (HarmoniumParams, QuadratureSpec,
-                                 expand_in_hermite_basis, ground_state_spec,
+from qmarginal import harmonium
+from qmarginal.harmonium import (HarmoniumParams, expand_in_hermite_basis, ground_state_spec,
                                  quasipinning_scan)
 from qmarginal.schubert import (check_spectral_inequality, hersch_zwahlen_check,
                                 partial_trace, random_mixed_density)
@@ -94,9 +94,8 @@ def test_criterion_03_pinning_lemma_on_ansatz_states():
                   f"max residual {worst_residual:.2e}, max facet value {worst_value:.2e}")
 
 
-def _spectrum28(kappa, basis=28, nodes=None):
-    quad = QuadratureSpec(basis_size=basis, nodes=nodes)
-    state, deficit = expand_in_hermite_basis(HarmoniumParams(n=3, kappa=kappa), quad)
+def _spectrum28(kappa, basis=28):
+    state, deficit = expand_in_hermite_basis(HarmoniumParams(n=3, kappa=kappa), basis)
     lams, _ = natural_occupations(one_rdm(state))
     return state, lams, deficit
 
@@ -154,12 +153,13 @@ def test_criterion_06_non_interacting_limit():
                   f"max occupation deviation {deviation:.2e}, weight {weight:.15f}")
 
 
-def test_criterion_07_quadrature_and_basis_stability():
+def test_criterion_07_quadrature_and_basis_stability(monkeypatch):
     params = HarmoniumParams(n=3, kappa=1.0 / 3.0)
-    base_quad = QuadratureSpec(basis_size=28)
-    state_a, _ = expand_in_hermite_basis(params, base_quad)
-    state_b, _ = expand_in_hermite_basis(
-        params, QuadratureSpec(basis_size=28, nodes=2 * base_quad.node_count(3)))
+    state_a, _ = expand_in_hermite_basis(params, 28)
+    exact = harmonium.node_count
+    with monkeypatch.context() as patch:
+        patch.setattr(harmonium, "node_count", lambda n, d: 2 * exact(n, d))
+        state_b, _ = expand_in_hermite_basis(params, 28)
     amps_b = amplitudes(state_b)
     amp_change = max(abs(c - amps_b[det]) for det, c in amplitudes(state_a).items())
 

@@ -110,6 +110,18 @@ class TestGpc:
         assert run_cli(["gpc", "--setting", "3,6"])[0] == 2
         assert run_cli(["gpc", "--non", "1,0", "--state", bd_state_file])[0] == 2
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_particle_number_below_one_exits_2(self, n, capsys):
+        code, out = run_cli(["gpc", "--non", "1,1,1,0,0,0", f"--setting={n},6"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: need n >= 1, got n={n}\n"
+
+    @pytest.mark.parametrize("setting", ["1,x", "3", "3,6,1", ""])
+    def test_malformed_setting_named(self, setting, capsys):
+        code, out = run_cli(["gpc", "--non", "1", "--setting", setting])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: setting must be 'N,d', got {setting!r}\n"
+
 
 class TestSelection:
     def test_equalities_give_eight(self):
@@ -174,6 +186,8 @@ class TestHarmonium:
         assert len(doc["points"]) == 2
         header = csv_path.read_text().splitlines()[0]
         assert header == "kappa,D,hf_dist,eps6,norm_deficit"
+        assert (doc["basis_size"], doc["nodes"]) == (12, 17)
+        assert doc["precision_floor"] == 100 * sys.float_info.epsilon
 
     def test_scan_exponents_are_the_xi_exponents(self):
         # fitted against xi = (omega_rel-1)/(omega_rel+1), not kappa: the
@@ -207,12 +221,14 @@ class TestHarmonium:
         assert err.count("\n") == 1
 
     def test_norm_above_one_rejected(self, capsys):
-        # at kappa=1e35 in 4 orbitals rounding once gave |c|^2 = 1e78 and exit 3;
-        # the |c|^2 > 1 guard itself is tested in test_harmonium
+        # at kappa=1e35 in 4 orbitals the amplitudes are rounding noise, which
+        # once gave |c|^2 = 1e78 and exit 3; the |c|^2 > 1 guard itself is
+        # tested in test_harmonium
         code, out = run_cli(["harmonium", "--kappa", "1e35", "--basis", "4", "--json"])
         assert code == 2 and out == ""
         assert capsys.readouterr().err == \
-            "error: norm deficit 1.000e+00 exceeds 1.0e-06; increase basis_size beyond 4\n"
+            ("error: the expansion at kappa=1e+35, basis_size=4 leaves the float64 range: "
+             "|c|^2 = 4.003e+00 exceeds 1\n")
 
     def test_four_particles_in_28_orbitals(self):
         code, out = run_cli(["harmonium", "--n", "4", "--basis", "28", "--kappa", "0.25",
@@ -236,6 +252,24 @@ class TestHarmonium:
         code, out = run_cli(["harmonium", "--scan", spec, "--basis", "8"])
         assert code == 2 and out == ""
         assert capsys.readouterr().err == "error: scan grid must lie within [0.01, 0.5]\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--kappa", "0.3", "--basis", "0"], "basis_size must lie in [1, 64], got 0"),
+        (["--kappa", "0.3", "--basis", "65"], "basis_size must lie in [1, 64], got 65"),
+        (["--kappa", "0.3", "--n", "4", "--basis", "3"],
+         "basis_size 3 smaller than particle number 4"),
+        (["--kappa", "0.3", "--n", "4", "--basis", "50"],
+         "the expansion at n=4, basis_size=50 with 99 nodes needs about 1.1e+09 "
+         "multiply-adds, above the limit of 1e+09; use a smaller basis"),
+        (["--kappa", "nan"], "kappa must be finite, got nan"),
+        (["--kappa=-1"], "attractive regime kappa < 0 is not supported"),
+        (["--kappa", "1e300"], "the expansion at kappa=1e+300, basis_size=28 leaves the "
+         "float64 range: the ground state's norm integral is 0.0"),
+    ])
+    def test_single_fault_message(self, argv, message, capsys):
+        code, out = run_cli(["harmonium", *argv])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_no_nodes_flag(self, capsys):
         # the node count follows from --n and --basis

@@ -15,7 +15,7 @@ from qmarginal.fock import (MAX_ORBITALS, UNITARY_TOL, CapacityError, FermionSta
                             OrbitalSpace, SlaterDeterminant, level_table, levels,
                             natural_occupations, occupied, one_rdm, random_state,
                             read_state_json, rotate_orbitals, slater_masks, write_state_json)
-from qmarginal.harmonium import HarmoniumParams, QuadratureSpec, expand_in_hermite_basis
+from qmarginal.harmonium import HarmoniumParams, expand_in_hermite_basis
 
 
 def det(*orbitals):
@@ -258,8 +258,7 @@ class TestOneRDM:
         assert abs(one_rdm(top)[63, 2]) > 0  # |1,2,64> <-> |1,2,3>
 
     def test_matches_loop_on_harmonium_state(self):
-        state, _ = expand_in_hermite_basis(HarmoniumParams(n=3, kappa=1.0 / 3.0),
-                                           QuadratureSpec(basis_size=12))
+        state, _ = expand_in_hermite_basis(HarmoniumParams(n=3, kappa=1.0 / 3.0), 12)
         rho = one_rdm(state)
         assert np.max(np.abs(rho - loop_one_rdm(state))) <= 1e-15
         assert np.array_equal(rho, rho.conj().T)

@@ -55,6 +55,11 @@ class TestCatalog:
         with pytest.raises(ValueError):
             catalog(4, 3)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_n_below_one(self, n):
+        with pytest.raises(ValueError, match=f"^need n >= 1, got n={n}$"):
+            catalog(n, 6)
+
     def test_json_round_trip(self):
         cat = catalog(3, 6)
         assert catalog_from_json(catalog_to_json(cat)) == cat

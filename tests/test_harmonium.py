@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -12,35 +13,91 @@ from conftest import amplitudes
 from qmarginal import harmonium, linalg
 from qmarginal.fock import natural_occupations, one_rdm, SlaterDeterminant
 from qmarginal.gpc import catalog, evaluate, truncate_spectrum
-from qmarginal.harmonium import (BasisDeficitError, HarmoniumParams, QuadratureSpec,
-                                 expand_in_hermite_basis, ground_state_spec, hermite_functions,
-                                 quasipinning_scan, wavefunction)
+from qmarginal.harmonium import (BasisDeficitError, HarmoniumParams, expand_in_hermite_basis,
+                                 ground_state_spec, hermite_functions, quasipinning_scan)
 
 BD_INEQ = catalog(3, 6).by_label("bd-ineq")
 
 
-def spectrum(kappa, n=3, basis=16, nodes=None):
-    quad = QuadratureSpec(basis_size=basis, nodes=nodes)
-    state, deficit = expand_in_hermite_basis(HarmoniumParams(n=n, kappa=kappa), quad)
+def spectrum(kappa, n=3, basis=16):
+    state, deficit = expand_in_hermite_basis(HarmoniumParams(n=n, kappa=kappa), basis)
     lams, _ = natural_occupations(one_rdm(state))
     return state, lams, deficit
 
 
-def full_tensor_amplitudes(params, quad):
+def helmert(n):
+    """Orthogonal normal-mode matrix; column 0 is the center of mass."""
+    q = np.zeros((n, n))
+    q[:, 0] = 1.0 / math.sqrt(n)
+    for a in range(1, n):
+        q[:a, a] = 1.0 / math.sqrt(a * (a + 1))
+        q[a, a] = -a / math.sqrt(a * (a + 1))
+    return q
+
+
+def vandermonde(xs):
+    v = np.ones(xs.shape[1])
+    for i, j in itertools.combinations(range(xs.shape[0]), 2):
+        v = v * (xs[i] - xs[j])
+    return v
+
+
+def mode_integral(n, alphas, g, func):
+    """Integrate func(x) over the full product grid in normal-mode coordinates.
+
+    alphas are the Gaussian exponents per mode of the *integrand*; func
+    receives particle coordinates (n, m) and must include every Gaussian
+    factor itself.
+    """
+    t, wfree = harmonium._gh_nodes(g)
+    axes_y = [t / math.sqrt(a) for a in alphas]
+    axes_w = [wfree / math.sqrt(a) for a in alphas]
+    grids = np.meshgrid(*axes_y, indexing="ij")
+    y = np.stack([grid.ravel() for grid in grids])
+    weights = np.ones(y.shape[1])
+    for wg in np.meshgrid(*axes_w, indexing="ij"):
+        weights = weights * wg.ravel()
+    return float(weights @ func(helmert(n) @ y))
+
+
+def wavefunction(spec, coords):
+    """Ground-state values at coords of shape (..., n)."""
+    coords = np.asarray(coords, dtype=float)
+    x = np.atleast_2d(coords).reshape(-1, spec.n).T
+    expo = -spec.c1 * x.sum(axis=0) ** 2 - spec.c2 * (x ** 2).sum(axis=0)
+    values = spec.c0 * vandermonde(x) * np.exp(expo)
+    return values.reshape(coords.shape[:-1])
+
+
+def grid_norm_sq(spec):
+    """int |Psi / c0|^2 over the product grid in normal modes: a polynomial of
+    degree n(n-1) times the Gaussian of each mode, so n(n-1)/2 + 1 nodes per
+    axis are exact; one more is taken."""
+    n = spec.n
+
+    def integrand(x):
+        expo = -2.0 * spec.c1 * x.sum(axis=0) ** 2 - 2.0 * spec.c2 * (x ** 2).sum(axis=0)
+        return vandermonde(x) ** 2 * np.exp(expo)
+
+    alphas = np.array([1.0] + [spec.omega_rel] * (n - 1))  # exponents of |Psi|^2
+    return mode_integral(n, alphas, n * (n - 1) // 2 + 2, integrand)
+
+
+def full_tensor_amplitudes(params, d, g=None):
     """Reference expansion: the whole d^n projection tensor over the full grid
     of g^n nodes in the principal axes of the combined Gaussian, one matrix
-    product per level of its leading n - 2 axes.  g is quad.nodes, or else
-    the smallest count exact for the degree n*(d-1) + n*(n-1)/2 integrands."""
+    product per level of its leading n - 2 axes.  g defaults to the smallest
+    count exact for the degree n*(d-1) + n*(n-1)/2 integrands."""
     spec = ground_state_spec(params)
-    n, d = spec.n, quad.basis_size
-    g = quad.nodes or (n * (d - 1) + n * (n - 1) // 2 + 2) // 2
+    n = spec.n
+    g = g or (n * (d - 1) + n * (n - 1) // 2 + 2) // 2
     t, w = roots_hermite(g)
     wfree = w * np.exp(t * t)
     alphas = [1.0] + [(1.0 + spec.omega_rel) / 2.0] * (n - 1)
     parts = np.array(list(itertools.product(range(g), repeat=n))).T
     y = np.array([t[parts[a]] / math.sqrt(alphas[a]) for a in range(n)])
     wnode = np.prod([wfree[parts[a]] / math.sqrt(alphas[a]) for a in range(n)], axis=0)
-    x = harmonium._helmert(n) @ y
+    x = helmert(n) @ y
     values = wnode * wavefunction(spec, x.T)
     phis = [hermite_functions(d, x[i]) for i in range(n)]
     tensor = np.zeros((d,) * n)
@@ -117,7 +174,7 @@ def ground_state_residual(params):
     g = n * (n - 1) // 2 + 3  # degree of (H Psi)^2 over the |Psi|^2 Gaussian
 
     def quad(func):
-        return harmonium._mode_integral(n, alphas, g, func)
+        return mode_integral(n, alphas, g, func)
 
     norm_sq = quad(lambda x: wavefunction(spec, x.T) ** 2)
     energy = quad(lambda x: wavefunction(spec, x.T) * apply_hamiltonian(spec, x.T)) / norm_sq
@@ -154,6 +211,12 @@ class TestGroundStateSpec:
         with pytest.raises(ValueError, match="finite"):
             HarmoniumParams(n=3, kappa=kappa)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("kappa", [0.0, 0.01, 1.0 / 3.0, 1.0, 50.0])
+    def test_closed_form_norm_matches_product_grid(self, n, kappa):
+        spec = ground_state_spec(HarmoniumParams(n=n, kappa=kappa))
+        assert spec.c0 == pytest.approx(1.0 / math.sqrt(grid_norm_sq(spec)), rel=1e-14, abs=0)
+
     @pytest.mark.parametrize("n,kappa", [(2, 0.25), (3, 1.0 / 3.0), (3, 0.0), (4, 0.15)])
     def test_eigenfunction_residual(self, n, kappa):
         energy, residual = ground_state_residual(HarmoniumParams(n=n, kappa=kappa))
@@ -165,15 +228,13 @@ class TestGroundStateSpec:
 
 class TestExpansion:
     def test_non_interacting_single_determinant(self):
-        state, deficit = expand_in_hermite_basis(HarmoniumParams(n=3, kappa=0.0),
-                                                 QuadratureSpec(basis_size=10))
+        state, deficit = expand_in_hermite_basis(HarmoniumParams(n=3, kappa=0.0), 10)
         dominant = abs(amplitudes(state)[SlaterDeterminant.from_orbitals((1, 2, 3))]) ** 2
         assert dominant > 1.0 - 1e-12
         assert abs(deficit) < 1e-12
 
     def test_parity_selection_rule(self):
-        state, _ = expand_in_hermite_basis(HarmoniumParams(n=3, kappa=0.1),
-                                           QuadratureSpec(basis_size=12))
+        state, _ = expand_in_hermite_basis(HarmoniumParams(n=3, kappa=0.1), 12)
         base_parity = (3 * 2 // 2) % 2
         for det, c in amplitudes(state).items():
             if sum(k - 1 for k in det.orbitals) % 2 != base_parity:
@@ -185,49 +246,42 @@ class TestExpansion:
 
     def test_basis_too_small_raises(self):
         with pytest.raises(BasisDeficitError):
-            expand_in_hermite_basis(HarmoniumParams(n=3, kappa=0.5),
-                                    QuadratureSpec(basis_size=4))
+            expand_in_hermite_basis(HarmoniumParams(n=3, kappa=0.5), 4)
 
-    def test_too_few_nodes_rejected(self):
-        # a v-rule of 3 nodes integrates a basis of 10 inexactly
-        quad = QuadratureSpec(basis_size=10, nodes=3)
-        with pytest.raises(ValueError, match="too few"):
-            quad.node_count(3)
-        with pytest.raises(ValueError, match="too few"):
-            expand_in_hermite_basis(HarmoniumParams(n=3, kappa=0.2), quad)
-        assert QuadratureSpec(basis_size=10, nodes=14).node_count(3) == 14
-        assert QuadratureSpec(basis_size=10).node_count(3) == 14
-        assert QuadratureSpec(basis_size=28).node_count(3) == 41
+    def test_node_count_is_the_exactness_minimum(self):
+        assert harmonium.node_count(3, 10) == 14
+        assert harmonium.node_count(3, 28) == 41
+        assert harmonium.node_count(4, 28) == 55
 
     def test_cost_guard(self, monkeypatch):
-        # N=4 at d=64 needs ~3.9e9 multiply-adds: rejected before any
-        # quadrature work, the ground state's normalisation included
+        # N=4 at d=64 needs ~3.9e9 multiply-adds: rejected before any work,
+        # ground_state_spec included
         monkeypatch.setattr(harmonium, "ground_state_spec", None)
         with pytest.raises(ValueError, match="multiply-adds"):
-            expand_in_hermite_basis(HarmoniumParams(n=4, kappa=0.25),
-                                    QuadratureSpec(basis_size=64))
+            expand_in_hermite_basis(HarmoniumParams(n=4, kappa=0.25), 64)
 
     def test_norm_above_one_rejected(self, monkeypatch):
-        # doubled weights scale the norm integral by 2^n and the sums of each
-        # amplitude by 2^(n+1), so |c|^2 grows by 2^(n+2), to 32 at n=3
+        # doubled weights scale the sums of each amplitude by 2^(n+1), so
+        # |c|^2 grows by 2^(2n+2), to 256 at n=3
         doubled = harmonium._gh_nodes
         monkeypatch.setattr(harmonium, "_gh_nodes", lambda g: (doubled(g)[0], 2 * doubled(g)[1]))
         with pytest.raises(ValueError, match=r"^the expansion at kappa=0\.2, basis_size=10 "
-                           r"leaves the float64 range: \|c\|\^2 = 3\.200e\+01 exceeds 1$"):
-            expand_in_hermite_basis(HarmoniumParams(n=3, kappa=0.2), QuadratureSpec(basis_size=10))
+                           r"leaves the float64 range: \|c\|\^2 = 2\.560e\+02 exceeds 1$"):
+            expand_in_hermite_basis(HarmoniumParams(n=3, kappa=0.2), 10)
 
-    def test_basis_beyond_bitmask_capacity_rejected(self):
-        # at construction, before an expansion that cannot be stored
-        with pytest.raises(ValueError, match="basis_size"):
-            QuadratureSpec(basis_size=65)
-        assert QuadratureSpec(basis_size=64).basis_size == 64
+    @pytest.mark.parametrize("basis", [0, -1, 65])
+    def test_basis_beyond_bitmask_capacity_rejected(self, basis, monkeypatch):
+        # before any work on an expansion that cannot be stored
+        monkeypatch.setattr(harmonium, "ground_state_spec", None)
+        with pytest.raises(ValueError, match=rf"^basis_size must lie in \[1, 64\], got {basis}$"):
+            expand_in_hermite_basis(HarmoniumParams(n=3, kappa=0.2), basis)
 
-    def test_doubling_nodes_changes_nothing(self):
-        quad = QuadratureSpec(basis_size=12)
+    def test_doubling_nodes_changes_nothing(self, monkeypatch):
         params = HarmoniumParams(n=3, kappa=0.2)
-        state_a, _ = expand_in_hermite_basis(params, quad)
-        state_b, _ = expand_in_hermite_basis(
-            params, QuadratureSpec(basis_size=12, nodes=2 * quad.node_count(3)))
+        state_a, _ = expand_in_hermite_basis(params, 12)
+        exact = harmonium.node_count
+        monkeypatch.setattr(harmonium, "node_count", lambda n, d: 2 * exact(n, d))
+        state_b, _ = expand_in_hermite_basis(params, 12)
         amps_b = amplitudes(state_b)
         diffs = [abs(c - amps_b[det]) for det, c in amplitudes(state_a).items()]
         assert max(diffs) < 1e-13
@@ -235,13 +289,14 @@ class TestExpansion:
     @pytest.mark.parametrize("n,kappa,basis,nodes", [
         (2, 0.25, 10, 10), (2, 0.25, 10, 11), (3, 0.2, 10, 16), (3, 0.2, 10, 17),
         (4, 0.1, 8, 18), (4, 0.1, 8, 19)])
-    def test_parity_fold_matches_full_grid(self, n, kappa, basis, nodes):
+    def test_parity_fold_matches_full_grid(self, n, kappa, basis, nodes, monkeypatch):
         # the parity rule, with an even and an odd v-rule, against the full
         # grid of as many nodes per axis: wrong-parity amplitudes are exact zeros
         params = HarmoniumParams(n=n, kappa=kappa)
-        quad = QuadratureSpec(basis_size=basis, nodes=nodes)
-        state, _ = expand_in_hermite_basis(params, quad)
-        reference = full_tensor_amplitudes(params, quad)
+        assert nodes >= harmonium.node_count(n, basis)
+        monkeypatch.setattr(harmonium, "node_count", lambda *_: nodes)
+        state, _ = expand_in_hermite_basis(params, basis)
+        reference = full_tensor_amplitudes(params, basis, nodes)
         parity = n * (n - 1) // 2 % 2
         for det, c in amplitudes(state).items():
             if sum(k - 1 for k in det.orbitals) % 2 == parity:
@@ -261,18 +316,18 @@ class TestExpansion:
 
     @pytest.mark.parametrize("n,kappa,basis", [(2, 0.25, 10), (3, 0.2, 10), (4, 0.15, 9)])
     def test_matches_full_tensor_projection(self, n, kappa, basis):
-        params, quad = HarmoniumParams(n=n, kappa=kappa), QuadratureSpec(basis_size=basis)
-        state, _ = expand_in_hermite_basis(params, quad)
-        reference = full_tensor_amplitudes(params, quad)
+        params = HarmoniumParams(n=n, kappa=kappa)
+        state, _ = expand_in_hermite_basis(params, basis)
+        reference = full_tensor_amplitudes(params, basis)
         assert amplitudes(state).keys() == reference.keys()
         assert max(abs(c - reference[det]) for det, c in amplitudes(state).items()) < 1e-13
 
     def test_determinant_blocks_change_nothing(self, monkeypatch):
         # each amplitude is formed from its own row, whatever the block
-        params, quad = HarmoniumParams(n=4, kappa=0.2), QuadratureSpec(basis_size=10)
-        whole, deficit_whole = expand_in_hermite_basis(params, quad)
+        params = HarmoniumParams(n=4, kappa=0.2)
+        whole, deficit_whole = expand_in_hermite_basis(params, 10)
         monkeypatch.setattr(harmonium, "_DET_BLOCK", 77)  # 4 determinants a block, the last ragged
-        blocked, deficit_blocked = expand_in_hermite_basis(params, quad)
+        blocked, deficit_blocked = expand_in_hermite_basis(params, 10)
         assert np.array_equal(whole.amps, blocked.amps)
         assert deficit_whole == deficit_blocked
 
@@ -390,23 +445,37 @@ class TestOccupationSpectra:
 class TestNonCurveAndScan:
     def test_scan_grid_validation(self):
         with pytest.raises(ValueError):
-            quasipinning_scan([0.005], quad=QuadratureSpec(basis_size=12))
+            quasipinning_scan([0.005], 12)
         with pytest.raises(ValueError):
-            quasipinning_scan([], quad=QuadratureSpec(basis_size=12))
+            quasipinning_scan([], 12)
 
     def test_precision_floor_flagged_at_tiny_coupling(self):
-        result = quasipinning_scan([0.01], quad=QuadratureSpec(basis_size=12))
+        result = quasipinning_scan([0.01], 12)
         assert result.points[0].precision_floor
         assert result.points[0].d_value < 1e-16
+        assert math.isnan(result.d_slope)  # no point above the floor to fit
+
+    @pytest.mark.parametrize("direction", [math.inf, -math.inf])
+    def test_one_ulp_in_c0_leaves_the_d_exponent(self, direction, monkeypatch):
+        # the smallest kappas of this grid put D below the precision floor,
+        # where it is rounding noise that one ulp in c0 reshuffles; the fit
+        # skips those points
+        kappas = np.geomspace(0.01, 0.5, 20)
+        base = quasipinning_scan(kappas)
+        assert any(p.precision_floor for p in base.points)
+        exact = harmonium.ground_state_spec
+        monkeypatch.setattr(harmonium, "ground_state_spec", lambda params: dataclasses.replace(
+            exact(params), c0=math.nextafter(exact(params).c0, direction)))
+        nudged = quasipinning_scan(kappas)
+        assert abs(nudged.d_slope - base.d_slope) <= 0.01
+        assert base.d_slope == pytest.approx(8.0, abs=0.05)
 
     def test_scan_points_are_library_points(self):
-        quad = QuadratureSpec(basis_size=12)
-        assert quasipinning_scan([0.2], quad=quad).points == (harmonium.point(0.2, 3, quad),)
+        assert quasipinning_scan([0.2], 12).points == (harmonium.point(0.2, 3, 12),)
 
     def test_scan_points_sorted_and_reproducible(self):
-        quad = QuadratureSpec(basis_size=12)
-        a = quasipinning_scan([0.3, 0.1], quad=quad)
-        b = quasipinning_scan([0.1, 0.3], quad=quad)
+        a = quasipinning_scan([0.3, 0.1], 12)
+        b = quasipinning_scan([0.1, 0.3], 12)
         assert [p.kappa for p in a.points] == [0.1, 0.3]
         assert a == b
 
@@ -484,8 +553,7 @@ class TestIndependentDiagonalizationOracle:
         energy, amps = exact_diagonalization(n, kappa, d_basis)
         omega = math.sqrt(1.0 + 2.0 * kappa)
         assert energy == pytest.approx(0.5 + 4.0 * omega, rel=1e-12)
-        state, _ = expand_in_hermite_basis(HarmoniumParams(n=n, kappa=kappa),
-                                           QuadratureSpec(basis_size=d_basis))
+        state, _ = expand_in_hermite_basis(HarmoniumParams(n=n, kappa=kappa), d_basis)
         key = SlaterDeterminant.from_orbitals((1, 2, 3))
         expanded = amplitudes(state)
         sign = math.copysign(1.0, amps[(0, 1, 2)] * expanded[key].real)
@@ -610,8 +678,7 @@ def mpmath_amplitudes(n, kappa, d_basis, dps=34):
 class TestHighPrecisionOracle:
     @pytest.mark.parametrize("n,kappa,basis", [(3, 1.0 / 3.0, 10), (3, 0.2, 10), (2, 0.25, 12)])
     def test_folded_amplitudes_match_34_digit_oracle(self, n, kappa, basis):
-        state, _ = expand_in_hermite_basis(HarmoniumParams(n=n, kappa=kappa),
-                                           QuadratureSpec(basis_size=basis))
+        state, _ = expand_in_hermite_basis(HarmoniumParams(n=n, kappa=kappa), basis)
         reference = mpmath_amplitudes(n, kappa, basis)
         assert amplitudes(state).keys() == reference.keys()
         parity = n * (n - 1) // 2 % 2

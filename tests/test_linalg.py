@@ -5,7 +5,7 @@ import pytest
 
 from qmarginal import linalg
 from qmarginal.fock import one_rdm
-from qmarginal.harmonium import HarmoniumParams, QuadratureSpec, expand_in_hermite_basis
+from qmarginal.harmonium import HarmoniumParams, expand_in_hermite_basis
 from qmarginal.linalg import _ABS_FLOOR, _MAX_SWEEPS, _REL_TOL, jacobi_eigh
 
 
@@ -78,8 +78,7 @@ def assert_values_alone_equal(a, lams):
 @pytest.mark.parametrize("n,kappa,basis", [
     (3, 1.0 / 3.0, 28), (3, 0.05, 28), (4, 0.25, 10), (2, 0.25, 12)])
 def test_harmonium_rdm_bitwise_equal(n, kappa, basis):
-    state, _ = expand_in_hermite_basis(HarmoniumParams(n=n, kappa=kappa),
-                                       QuadratureSpec(basis_size=basis))
+    state, _ = expand_in_hermite_basis(HarmoniumParams(n=n, kappa=kappa), basis)
     assert_bitwise_equal(one_rdm(state))
 
 

@@ -3,11 +3,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmarginal.schubert import (DegenerateSpectrumError, Flag, check_spectral_inequality,
-                                hersch_zwahlen_check, induced_flag, partial_trace,
-                                random_mixed_density, random_pure_density,
-                                sample_schubert_cell,
-                                schubert_membership, standard_flag)
+from qmarginal.schubert import (DegenerateSpectrumError, Flag, _validate_pi,
+                                check_spectral_inequality, hersch_zwahlen_check, induced_flag,
+                                partial_trace, random_mixed_density, random_pure_density,
+                                schubert_membership)
+
+
+def standard_flag(d):
+    return Flag(np.eye(d, dtype=complex))
+
+
+def sample_schubert_cell(flag, pi, rng):
+    """Random member of the open cell, by its echelon parameterization: the
+    scalar oracle of the stacked sampler behind hersch_zwahlen_check.
+
+    Relative to the flag basis, row r has a pivot 1 at the r-th position of a
+    1 in pi, free complex Gaussian entries at earlier non-pivot positions and
+    zeros elsewhere; the span always realizes the jump pattern pi.
+    """
+    d = flag.dim
+    pi = _validate_pi(pi, d)
+    pivots = [i for i, b in enumerate(pi) if b]
+    k = len(pivots)
+    coeff = np.zeros((d, k), dtype=complex)
+    for r, piv in enumerate(pivots):
+        coeff[piv, r] = 1.0
+        for j in range(piv):
+            if j not in pivots:
+                coeff[j, r] = rng.standard_normal() + 1j * rng.standard_normal()
+    frame = flag.basis @ coeff
+    if k == 0:
+        return frame
+    q, _ = np.linalg.qr(frame)
+    return q
 
 
 def random_unitary(d, rng):
