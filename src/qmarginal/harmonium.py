@@ -17,11 +17,12 @@ determinant).  Writing the Vandermonde factor as a determinant and the
 centre-of-mass Gaussian as a Gaussian integral over one variable v makes the
 projection a one-variable sum of single determinants, c_K ~ sum_v w_v
 det M(v)[K, :], where M(v) is the d x N matrix of one-particle integrals (see
-_expand).  Both the x-integrals in M and the v-sum are Gauss-Hermite rules
-whose node counts make them exact for the polynomial-times-Gaussian
-integrands.  The rule is the Golub-Welsch construction from the Jacobi matrix
-of the Hermite recurrence, with weights from the oscillator eigenfunctions
-themselves (see _gh_nodes), so the module needs numpy alone.
+expand_in_hermite_basis).  Both the x-integrals in M and the v-sum are
+Gauss-Hermite rules whose node counts make them exact for the
+polynomial-times-Gaussian integrands.  The rule is the Golub-Welsch
+construction from the Jacobi matrix of the Hermite recurrence, with weights
+from the oscillator eigenfunctions themselves (see _gh_nodes), so the module
+needs numpy alone.
 """
 from __future__ import annotations
 
@@ -39,6 +40,10 @@ from .gpc import catalog, evaluate, pinning_report, truncate_spectrum
 
 DEFAULT_BASIS_SIZE = 28
 DEFICIT_TOL = 1e-6
+# the largest kappa a basis holds within DEFICIT_TOL is 114.3 at N=2 (basis
+# 64), 45.6 at N=3 (basis 64) and 15.7 at N=4 (basis 49, the cost limit), so
+# this bound refuses no kappa that any admitted basis can hold
+KAPPA_MAX = 1e3
 # multiply-adds of the Leibniz sums: admits N=3 up to d=64 (3.6e7) and N=4 up
 # to d=49 (9.9e8; a d=48 point takes ~4 s on 2 vCPUs), rejects N=4 from d=50
 # (1.1e9) before any quadrature node is evaluated
@@ -69,6 +74,9 @@ class HarmoniumParams:
             raise ValueError(f"kappa must be finite, got {self.kappa!r}")
         if self.kappa < 0:
             raise ValueError("attractive regime kappa < 0 is not supported")
+        if self.kappa > KAPPA_MAX:
+            raise ValueError(f"kappa={self.kappa!r} above {KAPPA_MAX:g}: no basis of at most "
+                             f"{MAX_ORBITALS} orbitals holds that ground state")
 
 
 @dataclass(frozen=True)
@@ -137,43 +145,32 @@ def ground_state_spec(params: HarmoniumParams) -> GroundStateSpec:
     norm_sq = (math.pi ** (n / 2) * 2.0 ** (-n * (n - 1) / 2)
                * math.prod(math.factorial(j) for j in range(1, n + 1))
                * omega_rel ** (-(n * n - 1) / 2))
-    if not 0.0 < norm_sq < math.inf:
-        raise FloatingPointError(f"the ground state's norm integral is {norm_sq!r}")
     return GroundStateSpec(n=n, kappa=params.kappa, omega_rel=omega_rel,
                            c0=1.0 / math.sqrt(norm_sq), c1=c1, c2=c2)
 
 
 def expand_in_hermite_basis(params: HarmoniumParams, basis_size: int = DEFAULT_BASIS_SIZE
                             ) -> tuple[FermionState, float]:
-    """Wedge amplitudes over frequency-1 Hermite determinants.
+    """Wedge amplitudes over the parity-allowed frequency-1 Hermite determinants.
 
     Returns the normalized state and the norm deficit 1 - |c|^2 measuring the
     weight outside the truncated basis.  The quadrature is exact for the
     polynomial-times-Gaussian integrands, so the deficit is a pure basis
-    truncation measurement.  A kappa so strong that the expansion leaves the
-    float64 range (an overflow, or |c|^2 above 1) is a ValueError.
+    truncation measurement.  The state holds only the determinants whose
+    levels have the parity of n(n-1)/2; every other amplitude vanishes.
     """
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return _expand(params, basis_size)
-    except FloatingPointError as exc:
-        raise ValueError(f"the expansion at kappa={params.kappa!r}, basis_size="
-                         f"{basis_size} leaves the float64 range: {exc}") from None
-
-
-def _expand(params: HarmoniumParams, d_basis: int) -> tuple[FermionState, float]:
     n = params.n
-    if not 1 <= d_basis <= MAX_ORBITALS:
-        raise ValueError(f"basis_size must lie in [1, {MAX_ORBITALS}], got {d_basis}")
-    if d_basis < n:
-        raise ValueError(f"basis_size {d_basis} smaller than particle number {n}")
-    g = node_count(n, d_basis)
+    if not 1 <= basis_size <= MAX_ORBITALS:
+        raise ValueError(f"basis_size must lie in [1, {MAX_ORBITALS}], got {basis_size}")
+    if basis_size < n:
+        raise ValueError(f"basis_size {basis_size} smaller than particle number {n}")
+    g = node_count(n, basis_size)
     perms = list(itertools.permutations(range(n)))
     # multiply-adds of the Leibniz sums: n! products of n factors per
-    # determinant and v-node, over the half of the determinants kept below
-    cost = g * (math.comb(d_basis, n) // 2) * len(perms) * n
+    # determinant and v-node, over the half of the determinants formed below
+    cost = g * (math.comb(basis_size, n) // 2) * len(perms) * n
     if cost > MAX_EXPANSION_COST:
-        raise ValueError(f"the expansion at n={n}, basis_size={d_basis} with {g} nodes "
+        raise ValueError(f"the expansion at n={n}, basis_size={basis_size} with {g} nodes "
                          f"needs about {cost:.1e} multiply-adds, above the limit of "
                          f"{MAX_EXPANSION_COST:.0e}; use a smaller basis")
     spec = ground_state_spec(params)
@@ -184,59 +181,58 @@ def _expand(params: HarmoniumParams, d_basis: int) -> tuple[FermionState, float]
     # projection onto the levels K is int exp(-v^2) det M(v)[K, :] dv / sqrt(pi)
     # with M(v)[k, j] = int phi_k(x) x^j exp(-c2*x^2 + 2*sqrt(beta)*v*x) dx.
     # Substitute x = sqrt(beta)*v/p + t/sqrt(p) with p = c2 + 1/2, and
-    # v = u*sqrt(p): sqrt(p) is 1/sqrt(1 - xi), formed without the difference
-    # 1 - xi, which rounds to 0 at huge kappa.  Each row of M takes a factor
-    # exp(-v^2/n) of the v-Gaussian along; as p = n*beta + 1, the row's whole
-    # exponent, phi_k's Gaussian included, is then -t^2 - u^2/n, small at any
-    # kappa, and M(v)[k, j] is exp(-u^2/n) times a polynomial of degree k + j
-    # in t.  det M(v) is exp(-u^2) times a polynomial of degree n*(d-1) in u,
-    # so both Gauss-Hermite rules below are exact.
+    # v = u*sqrt(p).  Each row of M takes a factor exp(-v^2/n) of the
+    # v-Gaussian along; as p = n*beta + 1, the row's whole exponent, phi_k's
+    # Gaussian included, is then -t^2 - u^2/n, and M(v)[k, j] is exp(-u^2/n)
+    # times a polynomial of degree k + j in t.  det M(v) is exp(-u^2) times a
+    # polynomial of degree n*(d-1) in u, so both Gauss-Hermite rules below
+    # are exact.
     beta = -spec.c1
     p = (1.0 + spec.omega_rel) / 2.0
     u, wu = _gh_nodes(g)
     v = u * math.sqrt(p)
-    t, wt = _gh_nodes((d_basis + n - 2) // 2 + 1)
+    t, wt = _gh_nodes((basis_size + n - 2) // 2 + 1)
     x = (math.sqrt(beta) / p) * v[:, None] + t / math.sqrt(p)             # (g, gx)
     # the row exponent less phi_k's own -x^2/2
     fx = (wt / math.sqrt(p)) * np.exp(0.5 * x * x - t * t - (u * u / n)[:, None])
-    phi = hermite_functions(d_basis, x.ravel()).reshape(d_basis, g, -1) * fx
+    phi = hermite_functions(basis_size, x.ravel()).reshape(basis_size, g, -1) * fx
     m = np.stack([(phi * x ** j).sum(axis=-1) for j in range(n)])        # (n, d, g)
     wv = wu * math.sqrt(p)
 
     # Psi(-x) = (-1)^(n(n-1)/2) Psi(x) and phi_l(-x) = (-1)^l phi_l(x), so only
-    # determinants whose levels sum to the parity of n(n-1)/2 can be nonzero;
-    # the others are stored as exact zeros, which keeps rho's two parity
-    # blocks exact for one_rdm and jacobi_eigh
-    levels = level_table(d_basis, n)
-    kept = np.flatnonzero(levels.sum(axis=1) % 2 == n * (n - 1) // 2 % 2)
+    # determinants whose levels sum to the parity of n(n-1)/2 can be nonzero.
+    # Only those are formed and stored, so rho's two parity blocks stay exact
+    # for one_rdm and jacobi_eigh
+    levels = level_table(basis_size, n)
+    levels = levels[levels.sum(axis=1) % 2 == n * (n - 1) // 2 % 2]
     signs = [(-1) ** sum(i > j for i, j in itertools.combinations(perm, 2)) for perm in perms]
     scale = (-1) ** (n * (n - 1) // 2) * spec.c0 * math.sqrt(math.factorial(n) / math.pi)
-    amplitudes = np.zeros(levels.shape[0])
+    amplitudes = np.empty(levels.shape[0])
     step = max(1, _DET_BLOCK // g)
-    for start in range(0, kept.size, step):
-        rows = kept[start:start + step]
-        block = levels[rows]
-        dets = np.zeros((rows.size, g))
+    for start in range(0, levels.shape[0], step):
+        block = levels[start:start + step]
+        dets = np.zeros((block.shape[0], g))
         for sign, perm in zip(signs, perms):  # Leibniz: det = sum of signed products
             term = m[perm[0]][block[:, 0]]
             for i in range(1, n):
                 term *= m[perm[i]][block[:, i]]
             dets += sign * term
-        amplitudes[rows] = scale * (dets * wv).sum(axis=1)
+        amplitudes[start:start + step] = scale * (dets * wv).sum(axis=1)
 
     # np.add.accumulate adds in sequence like a plain loop; np.sum's pairwise
     # order would move the last digits of every amplitude
     weight = float(np.add.accumulate(amplitudes * amplitudes)[-1])
     if weight > 1.0 + DEFICIT_TOL:  # an exact rule keeps |c|^2 <= 1 up to rounding
-        raise FloatingPointError(f"|c|^2 = {weight:.3e} exceeds 1")
+        raise ValueError(f"|c|^2 = {weight:.3e} exceeds 1 at kappa={params.kappa!r}, "
+                         f"basis_size={basis_size}")
     deficit = 1.0 - weight
     if deficit > DEFICIT_TOL:
         raise BasisDeficitError(
-            f"norm deficit {deficit:.3e} exceeds {DEFICIT_TOL:.1e}; "
-            f"increase basis_size beyond {d_basis}")
+            f"norm deficit {deficit:.3e} exceeds {DEFICIT_TOL:.1e} at basis_size={basis_size} "
+            f"(at most {MAX_ORBITALS}); use a larger basis or a smaller kappa")
     renorm = 1.0 / math.sqrt(weight)
     masks = np.bitwise_or.reduce(np.left_shift(np.uint64(1), levels.astype(np.uint64)), axis=1)
-    state = FermionState(OrbitalSpace(d=d_basis, n=n), masks, amplitudes * renorm)
+    state = FermionState(OrbitalSpace(d=basis_size, n=n), masks, amplitudes * renorm)
     return state, float(deficit)
 
 

@@ -67,6 +67,8 @@ def verify_pinning_lemma(state: FermionState, constraints,
     the natural-orbital basis is not unique and that check is reported as
     skipped rather than asserted.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     d, n = state.space.d, state.space.n
     constraints = _check_dims(constraints, d)
     if not constraints:

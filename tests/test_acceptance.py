@@ -123,20 +123,28 @@ def _log_log_slope(x, y):
 
 def test_criterion_05_harmonium_scaling_exponents():
     result = quasipinning_scan(np.geomspace(0.05, 0.3, 8))
-    kappas = [p.kappa for p in result.points]
-    omegas = [ground_state_spec(HarmoniumParams(n=3, kappa=k)).omega_rel for k in kappas]
-    xis = [(w - 1.0) / (w + 1.0) for w in omegas]
-    d_values = [p.d_value for p in result.points]
-    hf_values = [p.hf_distance for p in result.points]
-    positive = min(d_values) > 0 and min(hf_values) > 0
-    d_slope = _log_log_slope(xis, d_values) if positive else float("nan")
+    kappas = np.array([p.kappa for p in result.points])
+    omegas = np.array([ground_state_spec(HarmoniumParams(n=3, kappa=k)).omega_rel
+                       for k in kappas])
+    xis = (omegas - 1.0) / (omegas + 1.0)
+    d_values = np.array([p.d_value for p in result.points])
+    hf_values = np.array([p.hf_distance for p in result.points])
+    # D below the precision floor is rounding noise: like the scan's own
+    # d_slope, the facet-distance fit drops exactly the flagged points
+    fitted = ~np.array([p.precision_floor for p in result.points])
+    assert np.array_equal(~fitted, np.abs(d_values) < harmonium.PRECISION_FLOOR)
+    assert fitted.sum() >= 6
+    positive = min(d_values[fitted]) > 0 and min(hf_values) > 0
+    d_slope = _log_log_slope(xis[fitted], d_values[fitted]) if positive else float("nan")
     hf_slope = _log_log_slope(xis, hf_values) if positive else float("nan")
-    d_kappa_slope = _log_log_slope(kappas, d_values) if positive else float("nan")
+    d_kappa_slope = (_log_log_slope(kappas[fitted], d_values[fitted]) if positive
+                     else float("nan"))
     hf_kappa_slope = _log_log_slope(kappas, hf_values) if positive else float("nan")
-    ok_d = abs(d_slope - 8.0) <= 0.75
+    ok_d = abs(d_slope - 8.0) <= 0.75 and abs(d_slope - result.d_slope) <= 1e-12
     ok_hf = abs(hf_slope - 4.0) <= 0.5
     assert report(5, ok_d and ok_hf, "log-log exponents in xi over kappa in [0.05, 0.3]",
-                  f"facet-distance xi-slope {d_slope:.3f} (want 8 +/- 0.75), "
+                  f"facet-distance xi-slope {d_slope:.3f} over the {fitted.sum()} points "
+                  f"above the precision floor (want 8 +/- 0.75), "
                   f"HF-distance xi-slope {hf_slope:.3f} (want 4 +/- 0.5); "
                   f"kappa-slopes {d_kappa_slope:.3f} and {hf_kappa_slope:.3f} "
                   "(finite-window, not asserted)")

@@ -210,25 +210,33 @@ class TestHarmonium:
         assert capsys.readouterr().err == \
             f"error: --scan takes start:stop:count, got {spec!r}\n"
 
-    @pytest.mark.parametrize("kappa", ["1e60", "1e200", "1e300"])
-    @pytest.mark.parametrize("basis", ["4", "28"])
-    def test_huge_kappa_exits_2_naming_kappa_and_basis(self, kappa, basis, capsys):
+    @pytest.mark.parametrize("kappa,basis", [("1e4", "28"), ("1e28", "28"), ("1e35", "4"),
+                                             ("1e300", "28"), ("1.7e308", "28"), ("1e300", "0")])
+    def test_kappa_above_the_bound_refused_before_any_work(self, kappa, basis, monkeypatch,
+                                                           capsys):
+        # one message with a stated reason, before the ground state is formed
+        # and before the basis size is checked
+        monkeypatch.setattr("qmarginal.harmonium.ground_state_spec", None)
         code, out = run_cli(["harmonium", "--kappa", kappa, "--basis", basis, "--json"])
-        err = capsys.readouterr().err
-        assert code == 2 and out == ""
-        assert err.startswith(f"error: the expansion at kappa={float(kappa)!r}, "
-                              f"basis_size={basis} leaves the float64 range: ")
-        assert err.count("\n") == 1
-
-    def test_norm_above_one_rejected(self, capsys):
-        # at kappa=1e35 in 4 orbitals the amplitudes are rounding noise, which
-        # once gave |c|^2 = 1e78 and exit 3; the |c|^2 > 1 guard itself is
-        # tested in test_harmonium
-        code, out = run_cli(["harmonium", "--kappa", "1e35", "--basis", "4", "--json"])
         assert code == 2 and out == ""
         assert capsys.readouterr().err == \
-            ("error: the expansion at kappa=1e+35, basis_size=4 leaves the float64 range: "
-             "|c|^2 = 4.003e+00 exceeds 1\n")
+            (f"error: kappa={float(kappa)!r} above 1000: no basis of at most 64 orbitals "
+             "holds that ground state\n")
+
+    def test_deficit_at_the_largest_basis(self, capsys):
+        # the advice names no basis beyond the 64 orbitals a state can hold
+        code, out = run_cli(["harmonium", "--n", "3", "--basis", "64", "--kappa", "100"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == \
+            ("error: norm deficit 2.387e-04 exceeds 1.0e-06 at basis_size=64 (at most 64); "
+             "use a larger basis or a smaller kappa\n")
+
+    def test_largest_held_coupling_at_the_largest_basis(self):
+        # the bound refuses nothing a basis holds: N=2 keeps kappa=100 in 64 orbitals
+        code, out = run_cli(["harmonium", "--n", "2", "--basis", "64", "--kappa", "100",
+                             "--json"])
+        assert code == 0
+        assert abs(json.loads(out)["norm_deficit"]) <= 1e-6
 
     def test_four_particles_in_28_orbitals(self):
         code, out = run_cli(["harmonium", "--n", "4", "--basis", "28", "--kappa", "0.25",
@@ -263,8 +271,8 @@ class TestHarmonium:
          "multiply-adds, above the limit of 1e+09; use a smaller basis"),
         (["--kappa", "nan"], "kappa must be finite, got nan"),
         (["--kappa=-1"], "attractive regime kappa < 0 is not supported"),
-        (["--kappa", "1e300"], "the expansion at kappa=1e+300, basis_size=28 leaves the "
-         "float64 range: the ground state's norm integral is 0.0"),
+        (["--kappa", "1e300"], "kappa=1e+300 above 1000: no basis of at most 64 orbitals "
+         "holds that ground state"),
     ])
     def test_single_fault_message(self, argv, message, capsys):
         code, out = run_cli(["harmonium", *argv])

@@ -262,7 +262,7 @@ class TestOneRDM:
         rho = one_rdm(state)
         assert np.max(np.abs(rho - loop_one_rdm(state))) <= 1e-15
         assert np.array_equal(rho, rho.conj().T)
-        # the wrong-parity amplitudes are exact zeros, so no cross-parity term survives
+        # only parity-allowed determinants are stored, so no cross-parity term arises
         assert linalg._blocks(rho != 0) == [list(range(0, 12, 2)), list(range(1, 12, 2))]
 
     def test_one_fermion_is_the_outer_product(self):

@@ -113,6 +113,17 @@ def full_tensor_amplitudes(params, d, g=None):
             for levels, c in amps.items()}
 
 
+def assert_matches_oracle(state, reference, n, tol, wrong_parity_tol):
+    """The state holds exactly the oracle's parity-allowed determinants, each
+    within tol of the oracle; the oracle's other amplitudes vanish."""
+    parity = n * (n - 1) // 2 % 2
+    allowed = {det for det in reference if sum(k - 1 for k in det.orbitals) % 2 == parity}
+    formed = amplitudes(state)
+    assert formed.keys() == allowed
+    assert max(abs(c - float(reference[det])) for det, c in formed.items()) < tol
+    assert max(abs(reference[det]) for det in reference.keys() - allowed) < wrong_parity_tol
+
+
 def apply_hamiltonian(spec, coords):
     """(H Psi)(coords) evaluated from the explicit derivatives of Psi."""
     coords = np.asarray(coords, dtype=float)
@@ -206,6 +217,19 @@ class TestGroundStateSpec:
         with pytest.raises(ValueError):
             HarmoniumParams(n=3, kappa=-0.1)
 
+    def test_coupling_above_the_bound_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            HarmoniumParams(n=3, kappa=math.nextafter(harmonium.KAPPA_MAX, math.inf))
+        assert str(exc.value) == ("kappa=1000.0000000000001 above 1000: no basis of at most 64 "
+                                  "orbitals holds that ground state")
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_coupling_at_the_bound_admitted(self, n):
+        # finite closed forms at the bound itself
+        spec = ground_state_spec(HarmoniumParams(n=n, kappa=harmonium.KAPPA_MAX))
+        assert spec.omega_rel == math.sqrt(2001.0)
+        assert 0.0 < spec.c0 < math.inf
+
     @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
     def test_non_finite_coupling_rejected(self, kappa):
         with pytest.raises(ValueError, match="finite"):
@@ -234,11 +258,11 @@ class TestExpansion:
         assert abs(deficit) < 1e-12
 
     def test_parity_selection_rule(self):
-        state, _ = expand_in_hermite_basis(HarmoniumParams(n=3, kappa=0.1), 12)
-        base_parity = (3 * 2 // 2) % 2
-        for det, c in amplitudes(state).items():
-            if sum(k - 1 for k in det.orbitals) % 2 != base_parity:
-                assert abs(c) < 1e-12
+        # only determinants of odd level sum are stored: at N=3, d=28 half of
+        # the C(28, 3) = 3276
+        state, _ = expand_in_hermite_basis(HarmoniumParams(n=3, kappa=1.0 / 3.0), 28)
+        assert state.masks.size == 1638
+        assert all(sum(k - 1 for k in det.orbitals) % 2 == 1 for det in amplitudes(state))
 
     def test_norm_deficit_small_at_moderate_coupling(self):
         _, _, deficit = spectrum(0.1, basis=28)
@@ -265,9 +289,24 @@ class TestExpansion:
         # |c|^2 grows by 2^(2n+2), to 256 at n=3
         doubled = harmonium._gh_nodes
         monkeypatch.setattr(harmonium, "_gh_nodes", lambda g: (doubled(g)[0], 2 * doubled(g)[1]))
-        with pytest.raises(ValueError, match=r"^the expansion at kappa=0\.2, basis_size=10 "
-                           r"leaves the float64 range: \|c\|\^2 = 2\.560e\+02 exceeds 1$"):
+        with pytest.raises(ValueError, match=r"^\|c\|\^2 = 2\.560e\+02 exceeds 1 at "
+                           r"kappa=0\.2, basis_size=10$") as exc:
             expand_in_hermite_basis(HarmoniumParams(n=3, kappa=0.2), 10)
+        assert exc.type is ValueError
+
+    @pytest.mark.parametrize("n,bases", [(2, (2, 12, 28, 64)), (3, (3, 12, 28, 64)),
+                                         (4, (4, 12, 28, 49))])
+    def test_no_floating_point_fault_within_the_bound(self, n, bases):
+        # from the smallest basis to the largest admitted one, and kappa up to
+        # KAPPA_MAX: a point is held or refused for its deficit, never overflows
+        for basis in bases:
+            for kappa in (0.0, 1e-3, 1.0, harmonium.KAPPA_MAX):
+                with np.errstate(over="raise", invalid="raise"):
+                    try:
+                        state, deficit = expand_in_hermite_basis(HarmoniumParams(n, kappa), basis)
+                    except BasisDeficitError:
+                        continue
+                assert np.all(np.isfinite(state.amps)) and abs(deficit) <= harmonium.DEFICIT_TOL
 
     @pytest.mark.parametrize("basis", [0, -1, 65])
     def test_basis_beyond_bitmask_capacity_rejected(self, basis, monkeypatch):
@@ -291,19 +330,14 @@ class TestExpansion:
         (4, 0.1, 8, 18), (4, 0.1, 8, 19)])
     def test_parity_fold_matches_full_grid(self, n, kappa, basis, nodes, monkeypatch):
         # the parity rule, with an even and an odd v-rule, against the full
-        # grid of as many nodes per axis: wrong-parity amplitudes are exact zeros
+        # grid of as many nodes per axis: the wrong-parity determinants are
+        # not formed, and the full grid's amplitudes there vanish
         params = HarmoniumParams(n=n, kappa=kappa)
         assert nodes >= harmonium.node_count(n, basis)
         monkeypatch.setattr(harmonium, "node_count", lambda *_: nodes)
         state, _ = expand_in_hermite_basis(params, basis)
-        reference = full_tensor_amplitudes(params, basis, nodes)
-        parity = n * (n - 1) // 2 % 2
-        for det, c in amplitudes(state).items():
-            if sum(k - 1 for k in det.orbitals) % 2 == parity:
-                assert abs(c - reference[det]) < 1e-14
-            else:
-                assert c == 0.0
-                assert abs(reference[det]) < 1e-15
+        assert_matches_oracle(state, full_tensor_amplitudes(params, basis, nodes), n,
+                              1e-14, 1e-15)
 
     @pytest.mark.parametrize("g", [1, 2, 19, 42, 43, 57, 150, 151, 160])
     def test_gauss_hermite_grid_is_mirror_symmetric(self, g):
@@ -318,9 +352,7 @@ class TestExpansion:
     def test_matches_full_tensor_projection(self, n, kappa, basis):
         params = HarmoniumParams(n=n, kappa=kappa)
         state, _ = expand_in_hermite_basis(params, basis)
-        reference = full_tensor_amplitudes(params, basis)
-        assert amplitudes(state).keys() == reference.keys()
-        assert max(abs(c - reference[det]) for det, c in amplitudes(state).items()) < 1e-13
+        assert_matches_oracle(state, full_tensor_amplitudes(params, basis), n, 1e-13, 1e-13)
 
     def test_determinant_blocks_change_nothing(self, monkeypatch):
         # each amplitude is formed from its own row, whatever the block
@@ -679,11 +711,4 @@ class TestHighPrecisionOracle:
     @pytest.mark.parametrize("n,kappa,basis", [(3, 1.0 / 3.0, 10), (3, 0.2, 10), (2, 0.25, 12)])
     def test_folded_amplitudes_match_34_digit_oracle(self, n, kappa, basis):
         state, _ = expand_in_hermite_basis(HarmoniumParams(n=n, kappa=kappa), basis)
-        reference = mpmath_amplitudes(n, kappa, basis)
-        assert amplitudes(state).keys() == reference.keys()
-        parity = n * (n - 1) // 2 % 2
-        for det, c in amplitudes(state).items():
-            assert abs(c - float(reference[det])) < 1e-14
-            if sum(k - 1 for k in det.orbitals) % 2 != parity:
-                assert c == 0.0
-                assert abs(reference[det]) < 1e-30
+        assert_matches_oracle(state, mpmath_amplitudes(n, kappa, basis), n, 1e-14, 1e-30)

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmarginal.schubert import (DegenerateSpectrumError, Flag, _validate_pi,
-                                check_spectral_inequality, hersch_zwahlen_check, induced_flag,
-                                partial_trace, random_mixed_density, random_pure_density,
-                                schubert_membership)
+from qmarginal.schubert import (DegenerateSpectrumError, Flag, IndeterminateRankError,
+                                _validate_pi, check_spectral_inequality, hersch_zwahlen_check,
+                                induced_flag, partial_trace, random_mixed_density,
+                                random_pure_density, schubert_membership)
 
 
 def standard_flag(d):
@@ -120,6 +120,12 @@ class TestMembership:
     def test_weight_mismatch_rejected(self):
         with pytest.raises(ValueError):
             schubert_membership(np.eye(3)[:, :2], standard_flag(3), (1, 0, 0))
+
+    def test_borderline_rank_is_indeterminate(self):
+        # the second component sits within a decade of the rank threshold
+        frame = np.array([[1.0], [3e-8]]) / np.hypot(1.0, 3e-8)
+        with pytest.raises(IndeterminateRankError, match="within a decade of the rank"):
+            schubert_membership(frame, standard_flag(2), (1, 0))
 
 
 class TestCellSampling:

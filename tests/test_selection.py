@@ -151,6 +151,12 @@ class TestPinningLemma:
         report = lemma(state, BD_INEQ, tol=1e-4)
         assert report.residual_bound == pytest.approx(2 * 1e-4)  # spectral radius 2
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_tolerance_must_be_finite_and_non_negative(self, tol):
+        state = bd_ansatz_state(SPACE, math.sqrt(0.6), math.sqrt(0.3), math.sqrt(0.1))
+        with pytest.raises(ValueError, match=rf"^tol must be a finite number >= 0, got {tol!r}$"):
+            verify_pinning_lemma(state, [BD_INEQ], tol=tol)
+
     def test_lemma_over_pinned_ensemble(self):
         rng = np.random.default_rng(42)
         produced = 0
