@@ -247,11 +247,13 @@ def cmd_selection(args, out) -> int:
         state = fock.read_state_json(args.state)
         if state.space != space:
             raise ValueError("state file does not match --setting")
-        reports = selection.verify_pinning_lemma(state, constraints, tol=args.pin_tol)
+        # the lemma and the ansatz weight both hold in the natural-orbital basis
+        frame = selection.natural_frame(state)
+        reports = selection.verify_pinning_lemma(frame, constraints, tol=args.pin_tol)
         lemma_rows = [{"label": c.label, "constraint_value": rep.constraint_value,
                        "residual_norm": rep.residual_norm, "degenerate": rep.degenerate}
                       for c, rep in zip(constraints, reports)]
-        weight_outside = selection.out_of_support_weight(state, masks)
+        weight_outside = selection.out_of_support_weight(frame[1], masks)
 
     payload = {
         "setting": {"n": n, "d": d},

@@ -45,12 +45,12 @@ DEFICIT_TOL = 1e-6
 # this bound refuses no kappa that any admitted basis can hold
 KAPPA_MAX = 1e3
 # multiply-adds of the Leibniz sums: admits N=3 up to d=64 (3.6e7) and N=4 up
-# to d=49 (9.9e8; a d=48 point takes ~4 s on 2 vCPUs), rejects N=4 from d=50
-# (1.1e9) before any quadrature node is evaluated
+# to d=49 (9.9e8; a cold d=48 or d=49 point takes 0.5-0.7 s on 2 Xeon vCPUs),
+# rejects N=4 from d=50 (1.1e9) before any quadrature node is evaluated
 MAX_EXPANSION_COST = 10 ** 9
 _DET_BLOCK = 1 << 16  # (determinant, v-node) entries per block of the Leibniz sums
 # a scan's kappas: below 0.01 D sits at the precision floor; a warm d=28
-# point takes ~8 ms on 2 vCPUs, and the longest scan (1000 kappas) 10 s
+# point takes 4-6 ms on 2 Xeon vCPUs, and the longest scan (1000 kappas) 4-6 s
 SCAN_RANGE = (0.01, 0.5)
 MAX_SCAN_POINTS = 1000
 # quadrature and Jacobi rotations resolve occupations to a few eps in

@@ -1,20 +1,22 @@
 """Hermitian eigendecomposition by cyclic Jacobi rotations.
 
-For the graded positive-semidefinite matrices produced by reduced density
-operators (eigenvalues spread over many orders of magnitude) Jacobi with a
-relative rotation threshold resolves the small eigenvalues to high relative
-accuracy, which plain QR-based solvers do not guarantee.  Intended for the
-small dimensions of this package (d <= 64).  The matrix is first split into
-the connected blocks of its exact-nonzero pattern (a harmonium 1-RDM is two
-parity blocks, a Borland-Dennis state gives a diagonal one), and each block is
-rotated in scalar Python arithmetic on nested lists.  For real input each
-product and sum rounds as numpy's elementwise operations do, so the result is
-bit for bit that of a whole-matrix sweep on numpy rows and columns (the tests
-keep that sweep as the reference); numpy may fuse the products of a complex
-multiply, so for complex input the two differ by a few ulps.  An
-eigenvalue-only call runs the same rotations and skips just the eigenvector
-updates, which no rotation reads, so its eigenvalues are bit for bit those of
-a call that also returns the eigenvectors.
+Rotations stop at a relative threshold, so the small eigenvalues are not
+swamped by the large ones of the same matrix; but a solver keeps only what
+its float64 input holds, and forming a 1-RDM already loses the smallest
+occupations.  Measured on the harmonium at d=12 against a 40-digit
+eigensolve of the 40-digit rho: lam_12 = 4.4e-21 is off by a relative 1.4e-2
+at kappa=1/3, and 5e-29 by 5.4e3 at kappa=0.1.  Intended for d <= 64.  The
+matrix is first split into the connected blocks of its exact-nonzero pattern
+(a harmonium 1-RDM is two parity blocks, a Borland-Dennis state gives a
+diagonal one), and each block is rotated in scalar Python arithmetic on
+nested lists.  For real input each product and sum rounds as numpy's
+elementwise operations do, so the result is bit for bit that of a
+whole-matrix sweep on numpy rows and columns (the tests keep that sweep as
+the reference); numpy may fuse the products of a complex multiply, so for
+complex input the two differ by a few ulps.  An eigenvalue-only call runs
+the same rotations and skips just the eigenvector updates, which no rotation
+reads, so its eigenvalues are bit for bit those of a call that also returns
+the eigenvectors.
 """
 from __future__ import annotations
 

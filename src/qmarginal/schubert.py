@@ -12,7 +12,6 @@ not implemented here.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,7 +27,6 @@ HZ_SAMPLE_TOL = 1e-9
 INEQUALITY_MARGIN = 1e-10
 # trials sampled and reduced as one stack; bounds the memory of a check
 TRIAL_BLOCK = 256
-_SCREEN_SLACK = 1e-12
 
 
 class DegenerateSpectrumError(ValueError):
@@ -148,44 +146,26 @@ class HZReport:
                 and self.min_sampled >= self.target - HZ_SAMPLE_TOL)
 
 
-def _projection_value(rho: np.ndarray, frame: np.ndarray) -> float:
-    if frame.shape[1] == 0:
-        return 0.0
-    return float(np.real(np.trace(frame.conj().T @ rho @ frame)))
-
-
-@functools.lru_cache(maxsize=8)
-def _trial_normals(seed: int, start: int, stop: int, width: int) -> np.ndarray:
-    """Row t - start holds the first `width` standard normals of default_rng([seed, t])."""
-    rows = np.array([np.random.default_rng([seed, trial]).standard_normal(width)
-                     for trial in range(start, stop)]).reshape(stop - start, width)
-    rows.flags.writeable = False
-    return rows
-
-
-def _sample_cell_frames(flag: Flag, pi: tuple[int, ...], trials: range,
-                        seed: int) -> np.ndarray:
-    """Random members of the open cell, one per trial t, stacked.
+def _sample_cell_frames(flag: Flag, pi: tuple[int, ...], count: int,
+                        rng: np.random.Generator) -> np.ndarray:
+    """`count` random members of the open cell, stacked.
 
     Relative to the flag basis, row r of the echelon parameterization has a
     pivot 1 at the r-th position of a 1 in pi, free complex Gaussian entries
     at earlier non-pivot positions and zeros elsewhere, so the span always
-    realizes the jump pattern pi.  Trial t draws its entries from
-    default_rng([seed, t]) in the order of a scalar sampler (pivot row r
-    ascending, then position j ascending, real part before imaginary): a
-    generator's standard_normal(m) yields the numbers of m scalar calls, so
-    the prefix of each trial's row holds them.  The rows are drawn once for
-    every sequence of the same dimension.
+    realizes the jump pattern pi.  Trial by trial, the free entries take the
+    next normals of rng (pivot row r ascending, then position j ascending,
+    real part before imaginary), so calls continue one sequence.
     """
     d = flag.dim
     pivots = [i for i, b in enumerate(pi) if b]
     free = [(j, r) for r, piv in enumerate(pivots) for j in range(piv) if not pi[j]]
-    normals = _trial_normals(seed, trials.start, trials.stop, 2 * (d // 2) * ((d + 1) // 2))
-    coeff = np.zeros((len(trials), d, len(pivots)), dtype=complex)
+    coeff = np.zeros((count, d, len(pivots)), dtype=complex)
     coeff[:, pivots, range(len(pivots))] = 1.0
     if free:
         rows, cols = zip(*free)
-        coeff[:, rows, cols] = normals[:, 0:2 * len(free):2] + 1j * normals[:, 1:2 * len(free):2]
+        normals = rng.standard_normal((count, len(free), 2))
+        coeff[:, rows, cols] = normals[..., 0] + 1j * normals[..., 1]
     q, _ = np.linalg.qr(flag.basis @ coeff)
     return q
 
@@ -195,30 +175,32 @@ def hersch_zwahlen_check(rho: np.ndarray, pi: Sequence[int], trials: int = 200,
     """Verify the variational principle for one binary sequence.
 
     The span of the pi-marked eigenvectors must achieve the eigenvalue sum,
-    and no sampled cell member may fall below it.  Trial t samples with the
-    generator default_rng([seed, t]), so results are reproducible and
-    order-independent; trials are sampled and projected a block at a time.
+    and no sampled cell member may fall below it.  The trials draw in order
+    from one generator, a child of SeedSequence(seed), and are sampled and
+    projected TRIAL_BLOCK at a time; the result does not depend on TRIAL_BLOCK.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     rho = np.asarray(rho)
     flag = induced_flag(rho)
     pi = _validate_pi(pi, flag.dim)
-    lams = np.sort(np.linalg.eigvalsh(rho))[::-1]
+    lams = np.linalg.eigvalsh(rho)[::-1]
     target = float(np.dot(pi, lams))
 
     candidate = flag.basis[:, [i for i, b in enumerate(pi) if b]]
     in_cell = schubert_membership(candidate, flag, pi)
-    candidate_value = _projection_value(rho, candidate)
+    candidate_value = float(np.real(np.trace(candidate.conj().T @ rho @ candidate)))
 
+    # not default_rng(seed), which callers draw inputs from (qmarg hz draws
+    # rho): SeedSequence pads entropy with zeros, so it is default_rng([seed, 0])
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     min_sampled = float("inf")
     for start in range(0, trials, TRIAL_BLOCK):
-        q = _sample_cell_frames(flag, pi, range(start, min(start + TRIAL_BLOCK, trials)), seed)
+        q = _sample_cell_frames(flag, pi, min(TRIAL_BLOCK, trials - start), rng)
         values = np.real(np.trace(q.conj().swapaxes(1, 2) @ rho @ q, axis1=1, axis2=2))
         min_sampled = min(min_sampled, float(np.min(values)))
     return HZReport(pi=pi, target=target, candidate_value=candidate_value,
-                    candidate_in_cell=in_cell, min_sampled=min_sampled,
-                    trials=trials)
+                    candidate_in_cell=in_cell, min_sampled=min_sampled, trials=trials)
 
 
 def partial_trace(rho_ab: np.ndarray, d_a: int, d_b: int, keep: str = "A") -> np.ndarray:
@@ -234,21 +216,6 @@ def partial_trace(rho_ab: np.ndarray, d_a: int, d_b: int, keep: str = "A") -> np
     raise ValueError("keep must be 'A' or 'B'")
 
 
-def random_pure_density(d: int, rng: np.random.Generator) -> np.ndarray:
-    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    psi /= np.linalg.norm(psi)
-    return np.outer(psi, psi.conj())
-
-
-def random_mixed_density(d: int, rng: np.random.Generator,
-                         rank: int | None = None) -> np.ndarray:
-    """Wishart-type GG^dag / Tr, with configurable rank."""
-    rank = rank or d
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    rho = g @ g.conj().T
-    return rho / np.real(np.trace(rho))
-
-
 @dataclass(frozen=True)
 class InequalityVerdict:
     pi: tuple[int, ...]
@@ -258,15 +225,21 @@ class InequalityVerdict:
     witness: dict | None  # trial index, state kind, both spectra, both sides
 
 
-def _sample_state(d: int, trial: int, seed: int) -> tuple[str, np.ndarray]:
-    """State kind and density matrix of trial `trial`, drawn from default_rng([seed, trial])."""
-    rng = np.random.default_rng([seed, trial])
-    kind = ("mixed-full", "pure", "mixed-rank")[trial % 3]
-    if kind == "pure":
-        return kind, random_pure_density(d, rng)
-    if kind == "mixed-rank":
-        return kind, random_mixed_density(d, rng, rank=int(rng.integers(1, d + 1)))
-    return kind, random_mixed_density(d, rng)
+def _sample_densities(trials: range, d: int, normal_rng: np.random.Generator,
+                      rank_rng: np.random.Generator) -> np.ndarray:
+    """Density matrices GG^dag / Tr of the trials, stacked, G complex Gaussian d x r.
+
+    By t % 3, trial t has rank r = d, 1 (a pure state) or uniform in 1..d.
+    Trial by trial, G is the first r columns of d x d next normals of
+    normal_rng (row-major, real part before imaginary), and every trial takes
+    the next uniform of rank_rng, so calls continue both sequences.
+    """
+    normals = normal_rng.standard_normal((len(trials), d, d, 2))
+    drawn = 1 + (rank_rng.random(len(trials)) * d).astype(int)
+    ranks = np.choose(np.arange(trials.start, trials.stop) % 3, [d, 1, drawn])
+    g = (normals[..., 0] + 1j * normals[..., 1]) * (np.arange(d) < ranks[:, None, None])
+    rho = g @ g.conj().swapaxes(1, 2)
+    return rho / np.real(np.trace(rho, axis1=1, axis2=2))[:, None, None]
 
 
 def check_spectral_inequality(pi: Sequence[int], sigma: Sequence[int],
@@ -274,34 +247,33 @@ def check_spectral_inequality(pi: Sequence[int], sigma: Sequence[int],
                               seed: int = 0) -> InequalityVerdict:
     """Monte-Carlo falsifier for sum pi_j lam_j(A) <= sum sigma_i lam_i(AB).
 
-    Alternates full-spectrum mixed states, random-rank mixed states and pure
+    Alternates full-spectrum mixed states, pure states and random-rank mixed
     states.  Returns the first violating witness; a clean pass over all
     samples is evidence, not proof, that the pair satisfies the intersection
-    property behind the inequality.  Spectra are computed a block of trials
-    at a time; the witness is the violating trial of lowest index.
+    property behind the inequality.  The states come in trial order from two
+    children of SeedSequence(seed), TRIAL_BLOCK trials as one stack, and the
+    witness is the violating trial of lowest index; neither depends on
+    TRIAL_BLOCK.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     d_ab = d_a * d_b
     pi = _validate_pi(pi, d_a)
     sigma = _validate_pi(sigma, d_ab)
+    normal_rng, rank_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
     for start in range(0, samples, TRIAL_BLOCK):
         trials = range(start, min(start + TRIAL_BLOCK, samples))
-        kinds, rhos = zip(*(_sample_state(d_ab, trial, seed) for trial in trials))
-        rho_ab = np.array(rhos)
-        lam_ab = np.sort(np.linalg.eigvalsh(rho_ab))[:, ::-1]
-        lam_a = np.sort(np.linalg.eigvalsh(partial_trace(rho_ab, d_a, d_b, "A")))[:, ::-1]
-        # the stacked products screen with slack far above their rounding;
-        # each candidate is decided by the same scalar dot as a single trial
-        excess = lam_a @ np.array(pi, float) - lam_ab @ np.array(sigma, float)
-        for row in np.flatnonzero(excess > INEQUALITY_MARGIN - _SCREEN_SLACK):
-            lhs = float(np.dot(pi, lam_a[row]))
-            rhs = float(np.dot(sigma, lam_ab[row]))
-            if lhs > rhs + INEQUALITY_MARGIN:
-                trial = trials[row]
-                witness = {"trial": trial, "kind": kinds[row],
-                           "lam_a": [float(v) for v in lam_a[row]],
-                           "lam_ab": [float(v) for v in lam_ab[row]],
-                           "lhs": lhs, "rhs": rhs}
-                return InequalityVerdict(pi, sigma, True, trial + 1, witness)
+        rho_ab = _sample_densities(trials, d_ab, normal_rng, rank_rng)
+        lam_ab = np.linalg.eigvalsh(rho_ab)[:, ::-1]
+        lam_a = np.linalg.eigvalsh(partial_trace(rho_ab, d_a, d_b, "A"))[:, ::-1]
+        lhs, rhs = lam_a @ np.array(pi, float), lam_ab @ np.array(sigma, float)
+        violated = np.flatnonzero(lhs > rhs + INEQUALITY_MARGIN)
+        if violated.size:
+            row = violated[0]
+            trial = trials[row]
+            kind = ("mixed-full", "pure", "mixed-rank")[trial % 3]
+            witness = {"trial": trial, "kind": kind,
+                       "lam_a": lam_a[row].tolist(), "lam_ab": lam_ab[row].tolist(),
+                       "lhs": float(lhs[row]), "rhs": float(rhs[row])}
+            return InequalityVerdict(pi, sigma, True, trial + 1, witness)
     return InequalityVerdict(pi, sigma, False, samples, None)

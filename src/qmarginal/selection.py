@@ -43,7 +43,11 @@ def zero_eigenspace_slaters(constraints, space: OrbitalSpace) -> np.ndarray:
 
 
 def out_of_support_weight(state: FermionState, support: np.ndarray) -> float:
-    """Weight of the state outside the given determinant bitmasks."""
+    """Weight of the state outside the given determinant bitmasks, in the state's own basis.
+
+    An ansatz of the selection rule is meant in the natural-orbital basis: pass
+    the state of natural_frame().
+    """
     outside = ~np.isin(state.masks, support)
     return float(sum(abs(c) ** 2 for c in state.amps[outside].tolist()))
 
@@ -58,29 +62,32 @@ class PinningLemmaReport:
     note: str = ""
 
 
-def verify_pinning_lemma(state: FermionState, constraints,
-                         tol: float = 1e-8) -> list[PinningLemmaReport]:
+def natural_frame(state: FermionState) -> tuple[np.ndarray, FermionState]:
+    """Decreasing occupations and the state rotated into its natural-orbital basis."""
+    lams, orbitals = natural_occupations(one_rdm(state))
+    return lams, rotate_orbitals(state, orbitals.conj().T)
+
+
+def verify_pinning_lemma(state, constraints, tol: float = 1e-8) -> list[PinningLemmaReport]:
     """Check, per constraint, that pinning of the occupations kills the operator residual.
 
-    The state is rotated into its natural-orbital basis once, internally.
-    When a degenerate occupation block spans unequal constraint coefficients
-    the natural-orbital basis is not unique and that check is reported as
-    skipped rather than asserted.
+    A FermionState is rotated into its natural-orbital basis once,
+    internally; the pair natural_frame(state) is used as it is.  When a
+    degenerate occupation block spans unequal constraint coefficients the
+    natural-orbital basis is not unique and that check is reported as skipped
+    rather than asserted.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
-    d, n = state.space.d, state.space.n
+    lams, rotated = state if isinstance(state, tuple) else natural_frame(state)
+    d, n = rotated.space.d, rotated.space.n
     constraints = _check_dims(constraints, d)
-    if not constraints:
-        return []
-    lams, orbitals = natural_occupations(one_rdm(state))
     # blocks of occupations within DEGENERACY_GAP of the block's first one
     blocks, start = [], 0
     for i in range(1, d + 1):
         if i == d or lams[start] - lams[i] > DEGENERACY_GAP:
             blocks.append(slice(start, i))
             start = i
-    rotated = rotate_orbitals(state, orbitals.conj().T)
     occ = occupied(rotated.masks, d)
     reports = []
     for c in constraints:

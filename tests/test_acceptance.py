@@ -23,7 +23,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from conftest import amplitudes
+from conftest import amplitudes, random_mixed_density
 from qmarginal.cli import main as cli_main
 from qmarginal.fock import (FermionState, OrbitalSpace, SlaterDeterminant,
                             natural_occupations, one_rdm, random_state)
@@ -31,8 +31,7 @@ from qmarginal.gpc import catalog, evaluate, truncate_spectrum
 from qmarginal import harmonium
 from qmarginal.harmonium import (HarmoniumParams, expand_in_hermite_basis, ground_state_spec,
                                  quasipinning_scan)
-from qmarginal.schubert import (check_spectral_inequality, hersch_zwahlen_check,
-                                partial_trace, random_mixed_density)
+from qmarginal.schubert import check_spectral_inequality, hersch_zwahlen_check, partial_trace
 from qmarginal.selection import bd_ansatz_state, verify_pinning_lemma, \
     zero_eigenspace_slaters
 

@@ -8,13 +8,16 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmarginal
 from qmarginal.cli import EXIT_BROKEN_PIPE, main
-from qmarginal.fock import FermionState, OrbitalSpace, SlaterDeterminant, write_state_json
+from qmarginal.fock import (FermionState, OrbitalSpace, SlaterDeterminant, natural_occupations,
+                            one_rdm, random_state, rotate_orbitals, write_state_json)
+from qmarginal.selection import bd_ansatz_state
 
 
 def run_cli(argv):
@@ -153,6 +156,36 @@ class TestSelection:
         assert doc["weight_outside_ansatz"] == pytest.approx(0.0, abs=1e-12)
         for row in doc["lemma_residuals"]:
             assert row["residual_norm"] < 1e-10
+
+    def test_ansatz_weight_of_a_rotated_pinned_state(self, tmp_path):
+        # the pinned state in a random orbital basis: the ansatz holds in its
+        # natural-orbital basis, not in the basis the file is written in
+        state = bd_ansatz_state(OrbitalSpace(d=6, n=3), math.sqrt(0.6), math.sqrt(0.3),
+                                math.sqrt(0.1))
+        rng = np.random.default_rng(1)
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+        path = tmp_path / "rot.json"
+        write_state_json(rotate_orbitals(state, q), str(path))
+        code, out = run_cli(["selection", "--setting", "3,6",
+                             "--saturated", "bd-eq1,bd-eq2,bd-eq3,bd-ineq",
+                             "--state", str(path), "--json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert all(row["residual_norm"] < 1e-12 for row in doc["lemma_residuals"])
+        assert doc["weight_outside_ansatz"] < 1e-12
+
+    def test_ansatz_weight_of_a_haar_state_is_one_minus_lam1(self, tmp_path):
+        # pauli-top keeps the determinants holding natural orbital 1, so the
+        # weight outside is 1 - lam_1 (0.6037 in the file's basis)
+        state = random_state(OrbitalSpace(d=8, n=3), np.random.default_rng(5))
+        path = tmp_path / "haar.json"
+        write_state_json(state, str(path))
+        code, out = run_cli(["selection", "--setting", "3,8", "--saturated", "pauli-top",
+                             "--state", str(path), "--json"])
+        assert code == 0
+        lam1 = natural_occupations(one_rdm(state))[0][0]
+        assert json.loads(out)["weight_outside_ansatz"] == pytest.approx(1.0 - lam1, abs=1e-12)
+        assert 1.0 - lam1 == pytest.approx(0.33743, abs=1e-5)
 
     def test_unknown_label_exits_2(self, capsys):
         assert run_cli(["selection", "--setting", "3,6", "--saturated", "bogus"])[0] == 2

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmarginal.schubert import (DegenerateSpectrumError, Flag, IndeterminateRankError,
-                                _validate_pi, check_spectral_inequality, hersch_zwahlen_check,
-                                induced_flag, partial_trace, random_mixed_density,
-                                random_pure_density, schubert_membership)
+from conftest import random_mixed_density, random_pure_density
+from qmarginal import schubert
+from qmarginal.schubert import (TRIAL_BLOCK, DegenerateSpectrumError, Flag,
+                                IndeterminateRankError, _sample_densities, _validate_pi,
+                                check_spectral_inequality, hersch_zwahlen_check, induced_flag,
+                                partial_trace, schubert_membership)
 
 
 def standard_flag(d):
@@ -38,6 +40,15 @@ def sample_schubert_cell(flag, pi, rng):
     return q
 
 
+def check_streams(seed, count):
+    """The generators a check draws from: children of SeedSequence(seed)."""
+    return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(count)]
+
+
+def projection_value(rho, frame):
+    return float(np.real(np.trace(frame.conj().T @ rho @ frame)))
+
+
 def random_unitary(d, rng):
     """Haar-distributed unitary via phase-fixed QR."""
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -52,17 +63,22 @@ def random_hermitian(d, seed):
 
 
 def first_violation_by_loop(pi, sigma, d_a, d_b, samples, seed):
-    """The witness of check_spectral_inequality, one trial at a time."""
+    """The witness of check_spectral_inequality, one trial at a time.
+
+    Each trial takes a d_ab x d_ab matrix of normals from the first stream
+    and a uniform from the second; the state is GG^dag / Tr over the first r
+    columns G, r = d_ab, 1 or 1 + floor(uniform * d_ab) by trial % 3.
+    """
     d_ab = d_a * d_b
+    normal_rng, rank_rng = check_streams(seed, 2)
     for trial in range(samples):
-        rng = np.random.default_rng([seed, trial])
+        normals = normal_rng.standard_normal((d_ab, d_ab, 2))
+        drawn = 1 + int(rank_rng.random() * d_ab)
         kind = ("mixed-full", "pure", "mixed-rank")[trial % 3]
-        if kind == "pure":
-            rho_ab = random_pure_density(d_ab, rng)
-        elif kind == "mixed-rank":
-            rho_ab = random_mixed_density(d_ab, rng, rank=int(rng.integers(1, d_ab + 1)))
-        else:
-            rho_ab = random_mixed_density(d_ab, rng)
+        rank = {"mixed-full": d_ab, "pure": 1, "mixed-rank": drawn}[kind]
+        g = (normals[..., 0] + 1j * normals[..., 1])[:, :rank]
+        rho_ab = g @ g.conj().T
+        rho_ab = rho_ab / np.real(np.trace(rho_ab))
         lam_ab = np.sort(np.linalg.eigvalsh(rho_ab))[::-1]
         lam_a = np.sort(np.linalg.eigvalsh(partial_trace(rho_ab, d_a, d_b, "A")))[::-1]
         lhs, rhs = float(np.dot(pi, lam_a)), float(np.dot(sigma, lam_ab))
@@ -209,19 +225,36 @@ class TestHerschZwahlen:
 
     @pytest.mark.parametrize("trials", [50, 300])  # 300 spans two blocks
     def test_batched_minimum_is_the_scalar_sampler(self, trials):
-        # every trial's frame from sample_schubert_cell with its own
-        # generator, projected one at a time: the same minimum, bit for bit
+        # the frames from sample_schubert_cell, one trial after another on
+        # the check's one stream, projected one at a time: the same minimum,
+        # bit for bit
         rho = random_hermitian(4, 7)
         flag = induced_flag(rho)
         seed = 11
         for mask in range(16):
             pi = tuple(int(b) for b in format(mask, "04b"))
-            values = []
-            for t in range(trials):
-                frame = sample_schubert_cell(flag, pi, np.random.default_rng([seed, t]))
-                values.append(float(np.real(np.trace(frame.conj().T @ rho @ frame))))
+            rng, = check_streams(seed, 1)
+            values = [projection_value(rho, sample_schubert_cell(flag, pi, rng))
+                      for _ in range(trials)]
             report = hersch_zwahlen_check(rho, pi, trials=trials, seed=seed)
             assert report.min_sampled == min(values)
+
+    def test_check_does_not_replay_the_normals_of_rho(self):
+        # qmarg hz draws rho from default_rng([seed, 0]), which is the
+        # stream of default_rng(seed); the check's first trial must not take
+        # those normals again
+        seed, d, pi = 42, 5, (0, 1, 0, 1, 1)
+        assert np.array_equal(np.random.default_rng([seed, 0]).standard_normal(12),
+                              np.random.default_rng(seed).standard_normal(12))
+        rng = np.random.default_rng([seed, 0])
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        rho = (g + g.conj().T) / 2.0
+        flag = induced_flag(rho)
+        replay = sample_schubert_cell(flag, pi, np.random.default_rng([seed, 0]))
+        own = sample_schubert_cell(flag, pi, check_streams(seed, 1)[0])
+        report = hersch_zwahlen_check(rho, pi, trials=1, seed=seed)
+        assert report.min_sampled == projection_value(rho, own)
+        assert report.min_sampled != projection_value(rho, replay)
 
 
 class TestDuality:
@@ -324,7 +357,7 @@ class TestSpectralInequality:
 
     @pytest.mark.parametrize("pi,sigma,seed,first", [
         ((1, 0), (0, 0, 0, 1), 3, None),
-        ((0, 1), (1, 0, 0, 0), 0, 303),  # beyond the first block of trials
+        ((0, 1), (1, 0, 0, 0), 1, 351),  # beyond the first block of trials
     ])
     def test_witness_is_the_first_scalar_violation(self, pi, sigma, seed, first):
         expected = first_violation_by_loop(pi, sigma, 2, 2, samples=400, seed=seed)
@@ -335,6 +368,35 @@ class TestSpectralInequality:
         assert verdict.violated
         assert verdict.samples_checked == expected["trial"] + 1
         assert verdict.witness == expected
+
+    def test_one_block_of_states(self):
+        d = 4
+        rhos = _sample_densities(range(TRIAL_BLOCK), d, *check_streams(8, 2))
+        assert rhos.shape == (TRIAL_BLOCK, d, d)
+        assert np.max(np.abs(rhos - rhos.conj().swapaxes(1, 2))) <= 1e-15
+        assert np.max(np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)) <= 1e-12
+        assert np.linalg.eigvalsh(rhos).min() >= -1e-15
+        ranks = np.linalg.matrix_rank(rhos, tol=1e-10, hermitian=True)
+        assert np.all(ranks[0::3] == d)
+        assert np.all(ranks[1::3] == 1)
+        assert set(ranks[2::3].tolist()) == {1, 2, 3, 4}
+
+    def test_results_do_not_depend_on_the_block(self, monkeypatch):
+        rho = random_hermitian(5, 3)
+
+        def reports():
+            hz = [hersch_zwahlen_check(rho, pi, trials=300, seed=5)
+                  for pi in [(1, 0, 1, 0, 1), (0, 0, 1, 1, 0)]]
+            ineq = [check_spectral_inequality((0, 1), (1, 0, 0, 0), 2, 2, samples=400, seed=1),
+                    check_spectral_inequality((1, 0), (1, 1, 0, 0), 2, 2, samples=300, seed=1)]
+            return hz, ineq
+
+        by_block = {}
+        for block in (7, 256):
+            monkeypatch.setattr(schubert, "TRIAL_BLOCK", block)
+            by_block[block] = reports()
+        assert by_block[7] == by_block[256]
+        assert by_block[7][1][0].samples_checked == 352
 
     def test_pure_state_marginal_spectra_match(self):
         # sanity of the sampler: marginals of pure states have equal nonzero spectra

@@ -7,7 +7,7 @@ from conftest import amplitudes
 from qmarginal.fock import (FermionState, OrbitalSpace, SlaterDeterminant,
                             natural_occupations, one_rdm, random_state, slater_masks)
 from qmarginal.gpc import PauliConstraint, catalog, evaluate, pinning_report
-from qmarginal.selection import (bd_ansatz_state, out_of_support_weight,
+from qmarginal.selection import (bd_ansatz_state, natural_frame, out_of_support_weight,
                                  verify_pinning_lemma, zero_eigenspace_slaters)
 
 SPACE = OrbitalSpace(d=6, n=3)
@@ -187,6 +187,14 @@ class TestPinningLemma:
         reports = verify_pinning_lemma(state, constraints, tol=1e-6)
         assert reports == [lemma(state, c, tol=1e-6) for c in constraints]
         assert verify_pinning_lemma(state, []) == []
+
+    @pytest.mark.parametrize("make", ["bd", "haar"])
+    def test_natural_frame_pair_gives_the_same_reports(self, make):
+        state = (bd_ansatz_state(SPACE, 0.8 + 0.1j, 0.45 - 0.2j, 0.2j) if make == "bd"
+                 else random_state(SPACE, np.random.default_rng(5)))
+        constraints = list(CAT.constraints)
+        assert (verify_pinning_lemma(natural_frame(state), constraints)
+                == verify_pinning_lemma(state, constraints))
 
     def test_dimension_mismatch(self):
         state = random_state(SPACE, np.random.default_rng(1))
