@@ -10,9 +10,10 @@ import sys
 
 import numpy as np
 
-from qmarginal.fock import OrbitalSpace, SlaterDeterminant, natural_occupations, one_rdm
+from qmarginal.fock import OrbitalSpace, SlaterDeterminant
 from qmarginal.gpc import catalog, pinning_report
-from qmarginal.selection import bd_ansatz_state, verify_pinning_lemma, zero_eigenspace_slaters
+from qmarginal.selection import (bd_ansatz_state, natural_frame, verify_pinning_lemma,
+                                 zero_eigenspace_slaters)
 
 
 def kets(masks) -> str:
@@ -24,7 +25,8 @@ def main() -> int:
     cat = catalog(3, 6)
     state = bd_ansatz_state(space, math.sqrt(0.6), math.sqrt(0.3), math.sqrt(0.1))
 
-    lams, _ = natural_occupations(one_rdm(state))
+    frame = natural_frame(state)
+    lams = frame[0]
     print("occupations:", np.array2string(lams, precision=6))
 
     report = pinning_report(lams, cat)
@@ -40,7 +42,7 @@ def main() -> int:
     print(f"support after saturating the facet too ({len(ansatz)} determinants):")
     print("  " + kets(ansatz))
 
-    lemma, = verify_pinning_lemma(state, [cat.by_label("bd-ineq")])
+    lemma, = verify_pinning_lemma(frame, [cat.by_label("bd-ineq")])
     print("\noperator residual on the pinned state:", f"{lemma.residual_norm:.3e}")
     print("facet value on its occupations:", f"{lemma.constraint_value:.3e}")
     return 0

@@ -27,6 +27,11 @@ EXIT_PRECISION_FLOOR = 3
 EXIT_BROKEN_PIPE = 141
 # hz without --pi checks all 2^dim sequences; the time doubles with each dimension
 HZ_ALL_SEQUENCES_MAX_DIM = 12
+# size bounds, timed cold on 2 Xeon vCPUs; a stack of 256 trials at dim 64 is 17 MB
+HZ_MAX_DIM = 64  # one all-ones --pi at dim 64 takes 0.2-0.35 s
+HZ_MAX_TRIALS = 2000  # all 4096 sequences of dim 12 with 2000 trials each: 35 s
+INEQ_MAX_DIM = 64  # --da times --db; --da 8 --db 8 with the default 1000 samples: 0.5 s
+INEQ_MAX_SAMPLES = 5 * 10 ** 4  # --da 64 --db 1 with no violation in 5e4 samples: 28 s
 
 
 def _fmt(x: float) -> str:
@@ -150,9 +155,11 @@ def cmd_gpc(args, out) -> int:
         n, d = _parse_setting(args.setting)
     else:
         state = fock.read_state_json(args.state)
-        lams, _ = fock.natural_occupations(fock.one_rdm(state), vectors=False)
         n, d = (state.space.n, state.space.d) if args.setting is None \
             else _parse_setting(args.setting)
+        if n != state.space.n:
+            raise ValueError(f"--setting N={n} does not match the state file's n={state.space.n}")
+        lams, _ = fock.natural_occupations(fock.one_rdm(state), vectors=False)
     truncation_weight = None
     if lams.size > d:
         lams, truncation_weight = gpc.truncate_spectrum(lams, d)
@@ -281,16 +288,20 @@ def cmd_selection(args, out) -> int:
 
 def cmd_hz(args, out) -> int:
     d = args.dim
-    if d < 1:
-        raise ValueError(f"--dim must be at least 1, got {d}")
+    if not 1 <= d <= HZ_MAX_DIM:
+        raise ValueError(f"--dim must lie in [1, {HZ_MAX_DIM}], got {d}")
+    if args.pi and len(args.pi) != d:
+        raise ValueError(f"--pi has {len(args.pi)} entries, --dim is {d}")
     if not args.pi and d > HZ_ALL_SEQUENCES_MAX_DIM:
         raise ValueError(f"checking all 2^{d} binary sequences is too costly; "
                          f"give one with --pi or use --dim <= {HZ_ALL_SEQUENCES_MAX_DIM}")
+    if args.trials > HZ_MAX_TRIALS:
+        raise ValueError(f"--trials must be at most {HZ_MAX_TRIALS}, got {args.trials}")
+    sequences = ([_parse_bits(args.pi)] if args.pi
+                 else [tuple(int(b) for b in format(m, f"0{d}b")) for m in range(2 ** d)])
     rng = np.random.default_rng([args.seed, 0])
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = (g + g.conj().T) / 2.0
-    sequences = ([_parse_bits(args.pi)] if args.pi
-                 else [tuple(int(b) for b in format(m, f"0{d}b")) for m in range(2 ** d)])
     rows = []
     all_ok = True
     for pi in sequences:
@@ -316,6 +327,10 @@ def cmd_hz(args, out) -> int:
 
 
 def cmd_ineq(args, out) -> int:
+    if args.da * args.db > INEQ_MAX_DIM:
+        raise ValueError(f"--da times --db must be at most {INEQ_MAX_DIM}, got {args.da*args.db}")
+    if args.samples > INEQ_MAX_SAMPLES:
+        raise ValueError(f"--samples must be at most {INEQ_MAX_SAMPLES}, got {args.samples}")
     verdict = schubert.check_spectral_inequality(
         _parse_bits(args.pi), _parse_bits(args.sigma), args.da, args.db,
         samples=args.samples, seed=args.seed)

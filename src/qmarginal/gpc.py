@@ -63,9 +63,6 @@ class ConstraintCatalog:
                 return c
         raise KeyError(f"no constraint labeled {label!r}")
 
-    def equalities(self) -> tuple[PauliConstraint, ...]:
-        return tuple(c for c in self.constraints if c.kind == "eq")
-
 
 def _unit(d: int, *positions: int) -> tuple[int, ...]:
     v = [0] * d

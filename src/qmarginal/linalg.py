@@ -30,25 +30,16 @@ _MAX_SWEEPS = 64
 _ABS_FLOOR = 2.3e-308
 
 
-def _blocks(nonzero: np.ndarray) -> list[list[int]]:
-    """Connected components of a symmetric boolean pattern, each ascending."""
-    neighbours = [np.flatnonzero(row).tolist() for row in nonzero]
-    seen = [False] * len(neighbours)
-    blocks = []
-    for start in range(len(neighbours)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        block, stack = [], [start]
-        while stack:
-            i = stack.pop()
-            block.append(i)
-            for j in neighbours[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        blocks.append(sorted(block))
-    return blocks
+def _blocks(nonzero: np.ndarray) -> list[np.ndarray]:
+    """Connected components of a pattern with its transpose, by least member, each ascending."""
+    n = len(nonzero)
+    # squaring the pattern with its diagonal doubles the path length it spans
+    reach = (nonzero | nonzero.T | np.eye(n, dtype=bool)).astype(float)
+    for _ in range(n.bit_length()):
+        reach = np.minimum(reach @ reach, 1.0)
+    least = reach.argmax(axis=1)
+    order = np.argsort(least, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(least[order])) + 1)
 
 
 def _jacobi_block(w: list, kind: type, vectors: bool) -> list | None:
@@ -132,8 +123,7 @@ def jacobi_eigh(a: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.nda
     w = np.array(a, dtype=kind)
     lams = np.empty(n)
     v = np.zeros((n, n), dtype=kind) if vectors else None
-    nonzero = w != 0
-    for block in _blocks(nonzero | nonzero.T):
+    for block in _blocks(w != 0):
         rows = w[np.ix_(block, block)].tolist()
         columns = _jacobi_block(rows, kind, vectors)
         lams[block] = [rows[i][i].real for i in range(len(block))]

@@ -30,16 +30,21 @@ def _check_dims(constraints, d: int) -> list:
     return constraints
 
 
+def _operator_values(constraints: list, masks: np.ndarray, d: int) -> np.ndarray:
+    """(constraints, determinants) integer eigenvalues of the constraint operators."""
+    kappa0 = np.array([c.kappa0 for c in constraints], dtype=np.int64)
+    kappas = np.array([c.kappas for c in constraints], dtype=np.int64).reshape(-1, d)
+    return kappa0[:, None] + kappas @ occupied(masks, d).T
+
+
 def zero_eigenspace_slaters(constraints, space: OrbitalSpace) -> np.ndarray:
     """Ascending bitmasks of the determinants annihilated by every constraint operator.
 
     With no constraint that is the whole basis.
     """
     constraints = _check_dims(constraints, space.d)
-    kappa0 = np.array([c.kappa0 for c in constraints], dtype=np.int64)
-    kappas = np.array([c.kappas for c in constraints], dtype=np.int64).reshape(-1, space.d)
     masks = slater_masks(space)
-    return masks[~(kappa0 + occupied(masks, space.d) @ kappas.T).any(axis=1)]
+    return masks[~_operator_values(constraints, masks, space.d).any(axis=0)]
 
 
 def out_of_support_weight(state: FermionState, support: np.ndarray) -> float:
@@ -48,8 +53,7 @@ def out_of_support_weight(state: FermionState, support: np.ndarray) -> float:
     An ansatz of the selection rule is meant in the natural-orbital basis: pass
     the state of natural_frame().
     """
-    outside = ~np.isin(state.masks, support)
-    return float(sum(abs(c) ** 2 for c in state.amps[outside].tolist()))
+    return float(np.sum(np.abs(state.amps[~np.isin(state.masks, support)]) ** 2))
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,6 @@ class PinningLemmaReport:
     residual_bound: float        # spectral radius of D_hat times tol
     pinned: bool                 # constraint_value <= tol
     degenerate: bool             # NO basis ambiguous across constraint coefficients
-    note: str = ""
 
 
 def natural_frame(state: FermionState) -> tuple[np.ndarray, FermionState]:
@@ -68,18 +71,17 @@ def natural_frame(state: FermionState) -> tuple[np.ndarray, FermionState]:
     return lams, rotate_orbitals(state, orbitals.conj().T)
 
 
-def verify_pinning_lemma(state, constraints, tol: float = 1e-8) -> list[PinningLemmaReport]:
+def verify_pinning_lemma(frame, constraints, tol: float = 1e-8) -> list[PinningLemmaReport]:
     """Check, per constraint, that pinning of the occupations kills the operator residual.
 
-    A FermionState is rotated into its natural-orbital basis once,
-    internally; the pair natural_frame(state) is used as it is.  When a
-    degenerate occupation block spans unequal constraint coefficients the
-    natural-orbital basis is not unique and that check is reported as skipped
-    rather than asserted.
+    ``frame`` is the pair natural_frame(state): the occupations and the state
+    in its natural-orbital basis.  When a degenerate occupation block spans
+    unequal constraint coefficients the natural-orbital basis is not unique
+    and that check is reported as skipped rather than asserted.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
-    lams, rotated = state if isinstance(state, tuple) else natural_frame(state)
+    lams, rotated = frame
     d, n = rotated.space.d, rotated.space.n
     constraints = _check_dims(constraints, d)
     # blocks of occupations within DEGENERACY_GAP of the block's first one
@@ -88,26 +90,18 @@ def verify_pinning_lemma(state, constraints, tol: float = 1e-8) -> list[PinningL
         if i == d or lams[start] - lams[i] > DEGENERACY_GAP:
             blocks.append(slice(start, i))
             start = i
-    occ = occupied(rotated.masks, d)
+    values = _operator_values(constraints, rotated.masks, d)
+    residual_sq = (values ** 2 * np.abs(rotated.amps) ** 2).sum(axis=1)
     reports = []
-    for c in constraints:
+    for c, res_sq in zip(constraints, residual_sq.tolist()):
         value = evaluate(c, lams)
-        degenerate = any(len(set(c.kappas[block])) > 1 for block in blocks)
-        values = c.kappa0 + occ @ c.kappas
-        residual_sq = sum(v ** 2 * abs(a) ** 2
-                          for v, a in zip(values.tolist(), rotated.amps.tolist()))
         # the operator's extreme eigenvalues fill the n smallest or n largest kappas
         kappas = sorted(c.kappas)
         spectral_radius = max(abs(c.kappa0 + sum(kappas[:n])), abs(c.kappa0 + sum(kappas[-n:])))
         reports.append(PinningLemmaReport(
-            constraint_value=value,
-            residual_norm=math.sqrt(residual_sq),
-            residual_bound=spectral_radius * tol,
-            pinned=bool(value <= tol),
-            degenerate=degenerate,
-            note="degenerate occupations across constraint coefficients; lemma check skipped"
-            if degenerate else "",
-        ))
+            constraint_value=value, residual_norm=math.sqrt(res_sq),
+            residual_bound=spectral_radius * tol, pinned=bool(value <= tol),
+            degenerate=any(len(set(c.kappas[block])) > 1 for block in blocks)))
     return reports
 
 

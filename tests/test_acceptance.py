@@ -32,7 +32,7 @@ from qmarginal import harmonium
 from qmarginal.harmonium import (HarmoniumParams, expand_in_hermite_basis, ground_state_spec,
                                  quasipinning_scan)
 from qmarginal.schubert import check_spectral_inequality, hersch_zwahlen_check, partial_trace
-from qmarginal.selection import bd_ansatz_state, verify_pinning_lemma, \
+from qmarginal.selection import bd_ansatz_state, natural_frame, verify_pinning_lemma, \
     zero_eigenspace_slaters
 
 SPACE36 = OrbitalSpace(d=6, n=3)
@@ -85,7 +85,7 @@ def test_criterion_03_pinning_lemma_on_ansatz_states():
             continue
         produced += 1
         state = bd_ansatz_state(SPACE36, alpha, beta, gamma)
-        rep, = verify_pinning_lemma(state, [BD_INEQ])
+        rep, = verify_pinning_lemma(natural_frame(state), [BD_INEQ])
         worst_residual = max(worst_residual, rep.residual_norm)
         worst_value = max(worst_value, abs(rep.constraint_value))
     ok = worst_residual < 1e-10 and worst_value < 1e-10

@@ -109,6 +109,25 @@ class TestGpc:
         assert code == 0
         assert json.loads(out)["d"] == 6
 
+    @pytest.mark.parametrize("setting", ["5,8", "2,6", "4,8"])
+    def test_state_file_particle_number_must_match(self, setting, tmp_path, capsys):
+        path = tmp_path / "s38.json"
+        write_state_json(random_state(OrbitalSpace(d=8, n=3), np.random.default_rng(38)),
+                         str(path))
+        code, out = run_cli(["gpc", "--state", str(path), "--setting", setting, "--json"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == \
+            f"error: --setting N={setting[0]} does not match the state file's n=3\n"
+
+    def test_state_file_truncated_to_a_smaller_d(self, tmp_path):
+        path = tmp_path / "s38.json"
+        write_state_json(random_state(OrbitalSpace(d=8, n=3), np.random.default_rng(38)),
+                         str(path))
+        code, out = run_cli(["gpc", "--state", str(path), "--setting", "3,6", "--json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["n"], doc["d"]) == (3, 6) and doc["truncation_weight"] > 0
+
     def test_requires_exactly_one_source(self, bd_state_file):
         assert run_cli(["gpc", "--setting", "3,6"])[0] == 2
         assert run_cli(["gpc", "--non", "1,0", "--state", bd_state_file])[0] == 2
@@ -186,6 +205,16 @@ class TestSelection:
         lam1 = natural_occupations(one_rdm(state))[0][0]
         assert json.loads(out)["weight_outside_ansatz"] == pytest.approx(1.0 - lam1, abs=1e-12)
         assert 1.0 - lam1 == pytest.approx(0.33743, abs=1e-5)
+
+    def test_rotation_over_the_minor_bound_exits_2(self, bd_state_file, monkeypatch, capsys):
+        # three amplitudes onto the 20 determinants of (3,6) form 60 minors
+        monkeypatch.setattr("qmarginal.fock.MAX_ROTATION_MINORS", 59)
+        code, out = run_cli(["selection", "--setting", "3,6", "--saturated", "bd-ineq",
+                             "--state", bd_state_file, "--json"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == ("error: rotating 3 amplitudes onto C(6,3) "
+                                           "determinants needs more than the 6e+01 minors "
+                                           "allowed\n")
 
     def test_unknown_label_exits_2(self, capsys):
         assert run_cli(["selection", "--setting", "3,6", "--saturated", "bogus"])[0] == 2
@@ -342,6 +371,32 @@ class TestSchubertCommands:
         doc = json.loads(out)
         assert doc["violated"] is True
         assert doc["witness"]["lhs"] > doc["witness"]["rhs"]
+
+    @pytest.mark.parametrize("argv,message", [
+        (["hz", "--dim", "100000", "--pi", "1"], "--dim must lie in [1, 64], got 100000"),
+        (["hz", "--dim", "64", "--pi", "1"], "--pi has 1 entries, --dim is 64"),
+        (["hz", "--dim", "65", "--pi", "1" * 65], "--dim must lie in [1, 64], got 65"),
+        (["hz", "--dim", "3", "--trials", "2001"], "--trials must be at most 2000, got 2001"),
+        (["ineq", "--da", "40", "--db", "40", "--pi", "1" + "0" * 39, "--sigma", "1" * 1600],
+         "--da times --db must be at most 64, got 1600"),
+        (["ineq", "--da", "2", "--db", "2", "--pi", "10", "--sigma", "1100",
+          "--samples", "50001"], "--samples must be at most 50000, got 50001"),
+    ])
+    def test_sizes_bounded_before_any_draw(self, argv, message, monkeypatch, capsys):
+        monkeypatch.setattr(np.random, "default_rng", None)
+        code, out = run_cli(argv)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["hz", "--dim", "64", "--pi", "10" * 32, "--trials", "1"],
+        ["hz", "--dim", "3", "--pi", "101", "--trials", "2000"],
+        ["ineq", "--da", "8", "--db", "8", "--pi", "1" + "0" * 7, "--sigma", "1" * 64,
+         "--samples", "1"],
+        ["ineq", "--da", "1", "--db", "1", "--pi", "1", "--sigma", "1", "--samples", "50000"],
+    ])
+    def test_sizes_at_the_bounds_admitted(self, argv):
+        assert run_cli(argv + ["--json"])[0] == 0
 
     def test_bad_binary_string_exits_2(self):
         assert run_cli(["ineq", "--da", "2", "--db", "2", "--pi", "12",

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import amplitudes
-from qmarginal import linalg
+from qmarginal import fock, linalg
 from qmarginal.fock import (MAX_ORBITALS, UNITARY_TOL, CapacityError, FermionState,
                             OrbitalSpace, SlaterDeterminant, level_table, levels,
                             natural_occupations, occupied, one_rdm, random_state,
@@ -76,9 +76,9 @@ def loop_rotate_orbitals(state, u):
     values = np.array([np.linalg.det(u[rows, :][:, cols].transpose(1, 0, 2)) @ amps
                        for rows in np.nonzero(occupied(targets, d))[1].reshape(-1, n)])
     targets, values = targets[values != 0], values[values != 0]
-    total = sum(abs(c) ** 2 for c in values.tolist())
+    total = np.sum(np.abs(values) ** 2)
     assert abs(total - 1.0) <= UNITARY_TOL
-    return targets, values * (1.0 / math.sqrt(total))
+    return targets, values / np.sqrt(total)
 
 
 def sparse_state(space, orbital_sets, rng):
@@ -263,7 +263,8 @@ class TestOneRDM:
         assert np.max(np.abs(rho - loop_one_rdm(state))) <= 1e-15
         assert np.array_equal(rho, rho.conj().T)
         # only parity-allowed determinants are stored, so no cross-parity term arises
-        assert linalg._blocks(rho != 0) == [list(range(0, 12, 2)), list(range(1, 12, 2))]
+        blocks = [b.tolist() for b in linalg._blocks(rho != 0)]
+        assert blocks == [list(range(0, 12, 2)), list(range(1, 12, 2))]
 
     def test_one_fermion_is_the_outer_product(self):
         state = random_state(OrbitalSpace(d=7, n=1), np.random.default_rng(5))
@@ -337,14 +338,13 @@ class TestStateArrays:
         assert state.masks.tolist() == [d0.mask for d0 in order]
         assert state.amps[2] == 0
 
-    def test_normalization_divides_like_python(self):
-        # each amplitude is c / |c|_2 as Python's complex division computes it
+    def test_normalization_divides_by_the_numpy_norm(self):
+        # each amplitude is c / sqrt(sum |c|^2), every step a numpy array operation
         rng = np.random.default_rng(3)
         basis = enumerate_slaters(OrbitalSpace(d=8, n=3))
-        values = [complex(*rng.standard_normal(2)) for _ in basis]
+        values = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
         state = FermionState.from_amplitudes(OrbitalSpace(d=8, n=3), dict(zip(basis, values)))
-        norm = math.sqrt(sum(abs(c) ** 2 for c in values))
-        assert state.amps.tolist() == [c / norm for c in values]
+        assert np.array_equal(state.amps, values / np.sqrt(np.sum(np.abs(values) ** 2)))
 
     @pytest.mark.parametrize("masks,message", [
         ([0b0011, 0b0011], "duplicate determinant |1,2>"),
@@ -477,6 +477,19 @@ class TestRotateOrbitals:
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError):
             rotate_orbitals(bd_example_state(), np.eye(6) * 1.01)
+
+    def test_minor_count_bounded_before_the_first_minor(self, monkeypatch):
+        # 56 sources onto the 56 determinants of (3,8)
+        state = random_state(OrbitalSpace(d=8, n=3), np.random.default_rng(2))
+        monkeypatch.setattr(fock, "MAX_ROTATION_MINORS", 56 * 56)
+        assert np.array_equal(rotate_orbitals(state, np.eye(8)).amps, state.amps)
+        monkeypatch.setattr(fock, "MAX_ROTATION_MINORS", 56 * 56 - 1)
+        monkeypatch.setattr(np.linalg, "det", None)
+        with pytest.raises(CapacityError, match=r"^rotating 56 amplitudes onto C\(8,3\) "):
+            rotate_orbitals(state, np.eye(8))
+
+    def test_minor_bound_admits_a_dense_d28_state(self):
+        assert math.comb(28, 3) ** 2 <= fock.MAX_ROTATION_MINORS
 
     @pytest.mark.parametrize("make", ["haar-3-12", "haar-4-10", "bd-3-6", "sparse-3-64"])
     def test_bit_identical_to_the_per_target_loop(self, make):

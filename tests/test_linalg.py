@@ -59,6 +59,44 @@ def loop_jacobi_eigh(a):
     return lams[order], v[:, order]
 
 
+def dfs_blocks(nonzero):
+    """Reference: depth-first search from each unvisited index in turn, each block sorted."""
+    neighbours = [np.flatnonzero(row).tolist() for row in nonzero]
+    seen = [False] * len(neighbours)
+    blocks = []
+    for start in range(len(neighbours)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        block, stack = [], [start]
+        while stack:
+            i = stack.pop()
+            block.append(i)
+            for j in neighbours[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        blocks.append(sorted(block))
+    return blocks
+
+
+def test_blocks_match_depth_first_search():
+    # sparse patterns of every size up to the solver's d <= 64, from scattered
+    # singletons to one connected block
+    rng = np.random.default_rng(8)
+    for _ in range(1200):
+        n = int(rng.integers(1, 65))
+        pattern = rng.random((n, n)) < rng.uniform(0.0, 3.0 / n)
+        pattern |= pattern.T
+        assert [b.tolist() for b in linalg._blocks(pattern)] == dfs_blocks(pattern)
+
+
+def test_blocks_join_one_sided_entries():
+    pattern = np.zeros((4, 4), dtype=bool)
+    pattern[0, 2] = pattern[3, 1] = True
+    assert [b.tolist() for b in linalg._blocks(pattern)] == [[0, 2], [1, 3]]
+
+
 def assert_bitwise_equal(a):
     lams, v = jacobi_eigh(a)
     ref_lams, ref_v = loop_jacobi_eigh(a)
