@@ -38,7 +38,8 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _json_fragment(obj) -> str:
+def dumps(obj) -> str:
+    """Deterministic JSON with 17-significant-digit floats."""
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -53,16 +54,11 @@ def _json_fragment(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
-        inner = ", ".join(f"{json.dumps(str(k))}: {_json_fragment(v)}" for k, v in obj.items())
+        inner = ", ".join(f"{json.dumps(str(k))}: {dumps(v)}" for k, v in obj.items())
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_json_fragment(v) for v in obj) + "]"
+        return "[" + ", ".join(dumps(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def dumps(obj) -> str:
-    """Deterministic JSON with 17-significant-digit floats."""
-    return _json_fragment(obj)
 
 
 def _parse_bits(text: str) -> tuple[int, ...]:
@@ -180,11 +176,10 @@ def _point_row(p: harmonium.ScanPoint) -> dict:
             "precision_floor": p.precision_floor}
 
 
-def _scan_csv(points) -> str:
-    lines = ["kappa,D,hf_dist,eps6,norm_deficit"]
-    for p in points:
-        lines.append(",".join(_fmt(v) for v in
-                              (p.kappa, p.d_value, p.hf_distance, p.eps6, p.norm_deficit)))
+def _scan_csv(rows: list[dict]) -> str:
+    """The scan table: every column of _point_row but the precision_floor flag."""
+    columns = [key for key in rows[0] if key != "precision_floor"]
+    lines = [",".join(columns)] + [",".join(_fmt(row[key]) for key in columns) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -216,11 +211,12 @@ def cmd_harmonium(args, out) -> int:
         raise ValueError("scans are defined for n=3")
     harmonium.check_scan_grid(num, min(start, stop), max(start, stop))
     result = harmonium.quasipinning_scan(np.geomspace(start, stop, num), args.basis)
-    csv_text = _scan_csv(result.points)
+    rows = [_point_row(p) for p in result.points]
+    csv_text = _scan_csv(rows)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as handle:
             handle.write(csv_text)
-    summary = {"points": [_point_row(p) for p in result.points],
+    summary = {"points": rows,
                "d_exponent": result.d_slope, "hf_exponent": result.hf_slope,
                "basis_size": args.basis, "nodes": harmonium.node_count(3, args.basis),
                "precision_floor": harmonium.PRECISION_FLOOR}

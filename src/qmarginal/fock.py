@@ -24,7 +24,6 @@ NORM_TOL = 1e-12
 RDM_NORM_TOL = 1e-8
 HERMITIAN_TOL = 1e-10
 UNITARY_TOL = 1e-10
-STATE_AMPLITUDE_CUTOFF = 1e-14
 _MINOR_BLOCK = 1 << 16  # (target, source) minors per block of rotate_orbitals
 # minors of one rotate_orbitals call, 180-330 ns each: admits a dense (3,28) state
 # (1.07e7 minors, 2.0 s on 2 Xeon vCPUs) and refuses a dense (3,31) one (2.02e7)
@@ -99,8 +98,12 @@ def slater_masks(space: OrbitalSpace) -> np.ndarray:
     size = space.basis_size
     if size > BASIS_CAP:
         raise CapacityError(f"basis size C({space.d},{space.n}) = {size} exceeds cap {BASIS_CAP}")
-    levels = level_table(space.d, space.n).astype(np.uint64)
-    return np.sort(np.bitwise_or.reduce(np.uint64(1) << levels, axis=1))
+    return np.sort(level_masks(level_table(space.d, space.n)))
+
+
+def level_masks(levels: np.ndarray) -> np.ndarray:
+    """uint64 bitmask of each row of a table of 0-based levels, in the table's order."""
+    return np.bitwise_or.reduce(np.uint64(1) << levels.astype(np.uint64), axis=1)
 
 
 def occupied(masks, d: int) -> np.ndarray:
@@ -162,14 +165,6 @@ def _normalized(space: OrbitalSpace, masks, amps) -> FermionState:
         raise ValueError("amplitude magnitudes underflow when squared"
                          if amps.any() else "cannot normalize the zero state")
     return FermionState(space, masks, amps / np.sqrt(norm_sq))
-
-
-def random_state(space: OrbitalSpace, rng: np.random.Generator) -> FermionState:
-    """Haar-like random state: i.i.d. standard complex normal amplitudes, normalized."""
-    masks = slater_masks(space)
-    c = rng.standard_normal(masks.size) + 1j * rng.standard_normal(masks.size)
-    c /= np.linalg.norm(c)
-    return FermionState(space, masks, c)
 
 
 def _hole_matrix(masks: np.ndarray, amps: np.ndarray, d: int, n: int) -> np.ndarray:
@@ -259,19 +254,6 @@ def rotate_orbitals(state: FermionState, u: np.ndarray) -> FermionState:
     return FermionState(state.space, targets, values / np.sqrt(total))
 
 
-def write_state_json(state: FermionState, fp) -> None:
-    """Serialize a state; amplitudes below STATE_AMPLITUDE_CUTOFF in magnitude are dropped."""
-    entries = [{"orbitals": list(SlaterDeterminant(mask).orbitals), "re": c.real, "im": c.imag}
-               for mask, c in sorted(zip(state.masks.tolist(), state.amps.tolist()))
-               if abs(c) > STATE_AMPLITUDE_CUTOFF]
-    doc = {"d": state.space.d, "n": state.space.n, "amplitudes": entries}
-    if hasattr(fp, "write"):
-        json.dump(doc, fp)
-    else:
-        with open(fp, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle)
-
-
 def _entry_error(index: int, entry, reason: str) -> ValueError:
     """The error for a rejected state-file entry; the entry is quoted only here."""
     return ValueError(f"amplitude entry {index} ({json.dumps(entry)[:80]}): {reason}")
@@ -285,9 +267,13 @@ def _read_entry(index: int, entry) -> tuple[int, complex]:
     if (not isinstance(orbitals, list) or any(type(k) is not int for k in orbitals)
             or any(a >= b for a, b in zip([0, *orbitals], [*orbitals, MAX_ORBITALS + 1]))):
         raise _entry_error(index, entry, f"need strictly increasing orbitals in [1, {MAX_ORBITALS}]")
+    re, im = entry["re"], entry.get("im", 0.0)
     try:
-        c = complex(float(entry["re"]), float(entry.get("im", 0.0)))
-    except (TypeError, ValueError, OverflowError):
+        # JSON numbers load as int or float; a string or a boolean is no amplitude
+        if type(re) not in (int, float) or type(im) not in (int, float):
+            raise TypeError
+        c = complex(re, im)
+    except (TypeError, OverflowError):
         raise _entry_error(index, entry, "re and im must be numbers in the float range") from None
     if not cmath.isfinite(c):
         raise _entry_error(index, entry, f"amplitude is not finite: {c!r}")

@@ -130,6 +130,13 @@ def truncate_spectrum(lams: Sequence[float], d_target: int) -> tuple[np.ndarray,
     return lams[:d_target].copy(), float(lams[d_target:].sum())
 
 
+def hf_distance(lams: Sequence[float], n: int) -> float:
+    """l2 distance of decreasing occupations to the Hartree-Fock point: n ones, then zeros."""
+    hf = np.array(lams, dtype=float)
+    hf[:n] -= 1.0
+    return float(np.linalg.norm(hf))
+
+
 @dataclass(frozen=True)
 class PinningReport:
     n: int
@@ -183,8 +190,6 @@ def pinning_report(lams: Sequence[float], cat: ConstraintCatalog,
                 d_min, d_min_label = v, c.label
             if abs(v) <= pin_tol:
                 saturated.append(c)
-    hf = lams.copy()
-    hf[:cat.n] -= 1.0
     return PinningReport(
         n=cat.n,
         d=cat.d,
@@ -194,24 +199,11 @@ def pinning_report(lams: Sequence[float], cat: ConstraintCatalog,
         saturated=tuple(saturated),
         equality_residuals=eq_residuals,
         equality_violations=tuple(eq_violations),
-        hf_distance=float(np.linalg.norm(hf)),
+        hf_distance=hf_distance(lams, cat.n),
         pin_tol=pin_tol,
         truncation_weight=truncation_weight,
         quasipinning=tuple((float(t), bool(d_min <= t)) for t in QUASIPINNING_THRESHOLDS),
     )
-
-
-def catalog_to_json(cat: ConstraintCatalog) -> dict:
-    return {
-        "n": cat.n,
-        "d": cat.d,
-        "completeness": cat.completeness,
-        "constraints": [
-            {"kappa0": c.kappa0, "kappas": list(c.kappas), "kind": c.kind,
-             "label": c.label, "chamber": c.chamber}
-            for c in cat.constraints
-        ],
-    }
 
 
 def catalog_from_json(doc: dict) -> ConstraintCatalog:

@@ -34,9 +34,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fock import (MAX_ORBITALS, FermionState, OrbitalSpace, level_table, natural_occupations,
-                   one_rdm)
-from .gpc import catalog, evaluate, pinning_report, truncate_spectrum
+from .fock import (MAX_ORBITALS, FermionState, OrbitalSpace, level_masks, level_table,
+                   natural_occupations, one_rdm)
+from .gpc import catalog, evaluate, hf_distance, pinning_report, truncate_spectrum
 
 DEFAULT_BASIS_SIZE = 28
 DEFICIT_TOL = 1e-6
@@ -231,8 +231,7 @@ def expand_in_hermite_basis(params: HarmoniumParams, basis_size: int = DEFAULT_B
             f"norm deficit {deficit:.3e} exceeds {DEFICIT_TOL:.1e} at basis_size={basis_size} "
             f"(at most {MAX_ORBITALS}); use a larger basis or a smaller kappa")
     renorm = 1.0 / math.sqrt(weight)
-    masks = np.bitwise_or.reduce(np.left_shift(np.uint64(1), levels.astype(np.uint64)), axis=1)
-    state = FermionState(OrbitalSpace(d=basis_size, n=n), masks, amplitudes * renorm)
+    state = FermionState(OrbitalSpace(d=basis_size, n=n), level_masks(levels), amplitudes * renorm)
     return state, float(deficit)
 
 
@@ -267,18 +266,17 @@ def point(kappa: float, n: int = 3, basis_size: int = DEFAULT_BASIS_SIZE) -> Sca
         d_value = evaluate(catalog(3, 6).by_label("bd-ineq"), lam6)
     else:
         d_value = pinning_report(lam6, catalog(n, lam6.size)).d_min
-    hf = lams.copy()
-    hf[:n] -= 1.0
     return ScanPoint(kappa=float(kappa), d_value=float(d_value),
-                     hf_distance=float(np.linalg.norm(hf)), eps6=eps6,
+                     hf_distance=hf_distance(lams, n), eps6=eps6,
                      norm_deficit=deficit,
                      precision_floor=bool(abs(d_value) < PRECISION_FLOOR))
 
 
 def _log_log_slope(pairs: Iterable[tuple[float, float]]) -> float:
-    """Least-squares slope of ln y against ln x over the (x, y) pairs with y > 0."""
+    """Least-squares slope of ln y against ln x over the (x, y) pairs with y > 0;
+    nan when those pairs hold fewer than two distinct x."""
     pairs = [(x, y) for x, y in pairs if y > 0]
-    if len(pairs) < 2:
+    if len({x for x, _ in pairs}) < 2:
         return float("nan")
     x, y = np.log(np.array(pairs)).T
     return float(np.polyfit(x, y, 1)[0])
@@ -307,7 +305,7 @@ def quasipinning_scan(kappas: Sequence[float],
     kappas = [float(k) for k in kappas]
     check_scan_grid(len(kappas), min(kappas, default=0.0), max(kappas, default=0.0))
     points = sorted((point(k, 3, basis_size) for k in kappas), key=lambda p: p.kappa)
-    omegas = [math.sqrt(1.0 + 2.0 * p.kappa) for p in points]
+    omegas = [ground_state_spec(HarmoniumParams(n=3, kappa=p.kappa)).omega_rel for p in points]
     xis = [(w - 1.0) / (w + 1.0) for w in omegas]
     return ScanResult(points=tuple(points),
                       d_slope=_log_log_slope((xi, p.d_value) for xi, p in zip(xis, points)

@@ -23,10 +23,10 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from conftest import amplitudes, random_mixed_density
+from conftest import amplitudes, random_mixed_density, random_state
 from qmarginal.cli import main as cli_main
 from qmarginal.fock import (FermionState, OrbitalSpace, SlaterDeterminant,
-                            natural_occupations, one_rdm, random_state)
+                            natural_occupations, one_rdm)
 from qmarginal.gpc import catalog, evaluate, truncate_spectrum
 from qmarginal import harmonium
 from qmarginal.harmonium import (HarmoniumParams, expand_in_hermite_basis, ground_state_spec,

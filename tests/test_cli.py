@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -14,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmarginal
+from conftest import random_state, write_state_json
 from qmarginal.cli import EXIT_BROKEN_PIPE, main
 from qmarginal.fock import (FermionState, OrbitalSpace, SlaterDeterminant, natural_occupations,
-                            one_rdm, random_state, rotate_orbitals, write_state_json)
+                            one_rdm, rotate_orbitals)
 from qmarginal.selection import bd_ansatz_state
 
 
@@ -109,15 +111,19 @@ class TestGpc:
         assert code == 0
         assert json.loads(out)["d"] == 6
 
-    @pytest.mark.parametrize("setting", ["5,8", "2,6", "4,8"])
-    def test_state_file_particle_number_must_match(self, setting, tmp_path, capsys):
+    @pytest.mark.parametrize("setting,message", [
+        ("5,8", "--setting N=5 does not match the state file's n=3"),
+        ("2,6", "--setting N=2 does not match the state file's n=3"),
+        ("4,8", "--setting N=4 does not match the state file's n=3"),
+        ("3,10", "need at least d=10 occupation values, got 8")],
+        ids=["5,8", "2,6", "4,8", "3,10"])
+    def test_state_file_setting_must_fit(self, setting, message, tmp_path, capsys):
         path = tmp_path / "s38.json"
         write_state_json(random_state(OrbitalSpace(d=8, n=3), np.random.default_rng(38)),
                          str(path))
         code, out = run_cli(["gpc", "--state", str(path), "--setting", setting, "--json"])
         assert code == 2 and out == ""
-        assert capsys.readouterr().err == \
-            f"error: --setting N={setting[0]} does not match the state file's n=3\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_state_file_truncated_to_a_smaller_d(self, tmp_path):
         path = tmp_path / "s38.json"
@@ -251,6 +257,18 @@ class TestHarmonium:
         assert (doc["basis_size"], doc["nodes"]) == (12, 17)
         assert doc["precision_floor"] == 100 * sys.float_info.epsilon
 
+    def test_scan_of_one_repeated_kappa_fits_no_exponent(self):
+        # three equal kappas give one distinct xi: no slope is fitted, so
+        # numpy's poorly-conditioned-fit warning never fires
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(["harmonium", "--scan", "0.1:0.1:3", "--basis", "12",
+                                 "--json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert len(doc["points"]) == 3
+        assert doc["d_exponent"] is None and doc["hf_exponent"] is None
+
     def test_scan_exponents_are_the_xi_exponents(self):
         # fitted against xi = (omega_rel-1)/(omega_rel+1), not kappa: the
         # kappa-slopes of this window are ~7.1 and ~3.6
@@ -335,6 +353,7 @@ class TestHarmonium:
         (["--kappa=-1"], "attractive regime kappa < 0 is not supported"),
         (["--kappa", "1e300"], "kappa=1e+300 above 1000: no basis of at most 64 orbitals "
          "holds that ground state"),
+        (["--scan", "0.05:0.3:3", "--n", "4"], "scans are defined for n=3"),
     ])
     def test_single_fault_message(self, argv, message, capsys):
         code, out = run_cli(["harmonium", *argv])
@@ -420,6 +439,7 @@ class TestInputsCheckedAtTheBoundary:
         ["hz", "--dim", "3", "--trials", "-2"],
         ["ineq", "--da", "2", "--db", "2", "--pi", "10", "--sigma", "0001", "--samples", "-5"],
         ["harmonium", "--n", "4", "--basis", "64", "--kappa", "0.25"],
+        ["gpc", "--non", "nan,0.5", "--setting", "1,2"],
     ])
     def test_rejected_with_exit_2(self, argv, capsys):
         code, out = run_cli(argv)
@@ -466,6 +486,12 @@ class TestInputsCheckedAtTheBoundary:
         ('{"d": 6, "n": 3, "amplitudes": [{"orbitals": [1.5, 2, 3], "re": 1.0}]}', "entry 1"),
         ('{"d": 6, "n": 3, "amplitudes": [{"orbitals": [1, 2, 3], "re": 1.0}, '
          '{"orbitals": [1, 4, 5], "re": null}]}', "entry 2"),
+        ('{"d": 6, "n": 3, "amplitudes": [{"orbitals": [1, 2, 3], "re": "1e0"}]}',
+         "re and im must be numbers"),
+        ('{"d": 6, "n": 3, "amplitudes": [{"orbitals": [1, 2, 3], "re": true}]}',
+         "re and im must be numbers"),
+        ('{"d": 6, "n": 3, "amplitudes": [{"orbitals": [1, 2, 3], "re": 1.0, "im": false}]}',
+         "re and im must be numbers"),
         ('{"d": 6, "n": 3, "amplitudes": {"a": 1}}', 'a list "amplitudes"'),
         ('{"d": 6, "n": 3, "amplitudes": [[1, 2, 3]]}', "entry 1"),
         ('{"d": 6.7, "n": 3, "amplitudes": [{"orbitals": [1, 2, 3], "re": 1.0}]}',

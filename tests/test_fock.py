@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import amplitudes
+from conftest import amplitudes, random_state, write_state_json
 from qmarginal import fock, linalg
 from qmarginal.fock import (MAX_ORBITALS, UNITARY_TOL, CapacityError, FermionState,
                             OrbitalSpace, SlaterDeterminant, level_table, levels,
-                            natural_occupations, occupied, one_rdm, random_state,
-                            read_state_json, rotate_orbitals, slater_masks, write_state_json)
+                            natural_occupations, occupied, one_rdm, read_state_json,
+                            rotate_orbitals, slater_masks)
 from qmarginal.harmonium import HarmoniumParams, expand_in_hermite_basis
 
 

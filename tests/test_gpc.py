@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import amplitudes
+from conftest import amplitudes, catalog_to_json, random_state
 from qmarginal.fock import (FermionState, OrbitalSpace, SlaterDeterminant,
-                            natural_occupations, one_rdm, random_state)
-from qmarginal.gpc import (PauliConstraint, catalog, catalog_from_json,
-                           catalog_to_json, evaluate, pinning_report,
-                           truncate_spectrum)
+                            natural_occupations, one_rdm)
+from qmarginal.gpc import (PauliConstraint, catalog, catalog_from_json, evaluate,
+                           pinning_report, truncate_spectrum)
 
 BD_EXAMPLE = np.array([0.9, 0.7, 0.6, 0.4, 0.3, 0.1])
 

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import amplitudes
+from conftest import amplitudes, random_state
 from qmarginal.fock import (FermionState, OrbitalSpace, SlaterDeterminant,
-                            natural_occupations, one_rdm, random_state, slater_masks)
+                            natural_occupations, one_rdm, slater_masks)
 from qmarginal.gpc import PauliConstraint, catalog, evaluate, pinning_report
 from qmarginal.selection import (bd_ansatz_state, natural_frame, out_of_support_weight,
                                  verify_pinning_lemma, zero_eigenspace_slaters)
