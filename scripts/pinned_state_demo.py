@@ -1,29 +1,30 @@
 #!/usr/bin/env python3
 """Walk through the pinning analysis on the three-fermion, six-orbital setting.
 
-Builds a pinned three-determinant state, computes its occupation spectrum,
+Realises a pinned spectrum as a Borland-Dennis state, computes its occupations,
 evaluates the constraint catalog, reconstructs the allowed determinant
 support from the saturated constraints, and checks the operator residual.
 """
-import math
 import sys
 
 import numpy as np
 
-from qmarginal.fock import OrbitalSpace, SlaterDeterminant
-from qmarginal.gpc import catalog, pinning_report
-from qmarginal.selection import (bd_ansatz_state, natural_frame, verify_pinning_lemma,
-                                 zero_eigenspace_slaters)
+from qmarginal.fock import ket
+from qmarginal.gpc import catalog, pinning_report, realise
+from qmarginal.selection import natural_frame, verify_pinning_lemma, zero_eigenspace_slaters
+
+# dyadic, so 2 - lam1 - lam2 - lam4 is exactly 0 and the state has no |3,5,6> part
+PINNED_SPECTRUM = (7 / 8, 3 / 4, 5 / 8, 3 / 8, 1 / 4, 1 / 8)
 
 
 def kets(masks) -> str:
-    return " ".join(str(SlaterDeterminant(mask)) for mask in masks.tolist())
+    return " ".join(ket(mask) for mask in masks.tolist())
 
 
 def main() -> int:
-    space = OrbitalSpace(d=6, n=3)
     cat = catalog(3, 6)
-    state = bd_ansatz_state(space, math.sqrt(0.6), math.sqrt(0.3), math.sqrt(0.1))
+    state = realise(PINNED_SPECTRUM, 3, 6)
+    space = state.space
 
     frame = natural_frame(state)
     lams = frame[0]

@@ -272,7 +272,7 @@ def cmd_selection(args, out) -> int:
         _emit(out, f"saturated: {','.join(labels) or 'none'}")
         _emit(out, f"ansatz ({masks.size} determinants):")
         for mask in masks.tolist():
-            _emit(out, f"  {fock.SlaterDeterminant(mask)}")
+            _emit(out, f"  {fock.ket(mask)}")
         for row in lemma_rows:
             _emit(out, f"lemma {row['label']}: value={_fmt(row['constraint_value'])} "
                        f"residual={_fmt(row['residual_norm'])}"

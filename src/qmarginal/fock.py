@@ -12,7 +12,6 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -52,30 +51,9 @@ class OrbitalSpace:
         return math.comb(self.d, self.n)
 
 
-@dataclass(frozen=True, order=True)
-class SlaterDeterminant:
-    """Occupation bitmask; orbital i sits at bit i-1."""
-
-    mask: int
-
-    @classmethod
-    def from_orbitals(cls, orbitals: Iterable[int]) -> "SlaterDeterminant":
-        mask = 0
-        for k in orbitals:
-            if k < 1 or k > MAX_ORBITALS:
-                raise ValueError(f"orbital index {k} outside [1, {MAX_ORBITALS}]")
-            bit = 1 << (k - 1)
-            if mask & bit:
-                raise ValueError(f"orbital {k} listed twice")
-            mask |= bit
-        return cls(mask)
-
-    @property
-    def orbitals(self) -> tuple[int, ...]:
-        return tuple(k + 1 for k in range(self.mask.bit_length()) if self.mask >> k & 1)
-
-    def __str__(self) -> str:
-        return "|" + ",".join(str(k) for k in self.orbitals) + ">"
+def ket(mask: int) -> str:
+    """The determinant of this bitmask as a ket of its orbitals, e.g. |1,2,4>."""
+    return "|" + ",".join(str(k + 1) for k in range(mask.bit_length()) if mask >> k & 1) + ">"
 
 
 def level_table(d: int, n: int) -> np.ndarray:
@@ -138,20 +116,15 @@ class FermionState:
             raise ValueError(f"need one amplitude per mask, got {amps.shape} and {masks.shape}")
         bad = masks[(masks >> np.uint64(d) != 0) | (occupied(masks, d).sum(axis=1) != n)]
         if bad.size:
-            raise ValueError(f"{SlaterDeterminant(int(bad[0]))} is no n={n} determinant in d={d}")
+            raise ValueError(f"{ket(int(bad[0]))} is no n={n} determinant in d={d}")
         repeated = np.delete(masks, np.unique(masks, return_index=True)[1])
         if repeated.size:
-            raise ValueError(f"duplicate determinant {SlaterDeterminant(int(repeated[0]))}")
+            raise ValueError(f"duplicate determinant {ket(int(repeated[0]))}")
         if not np.all(np.isfinite(amps)):
             raise ValueError("state has a non-finite amplitude")
         norm_sq = float(np.vdot(amps, amps).real)
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"state not normalized: |c|^2 = {norm_sq!r}")
-
-    @classmethod
-    def from_amplitudes(cls, space: OrbitalSpace, amplitudes: Mapping) -> "FermionState":
-        """The normalized state with these amplitudes, keyed by SlaterDeterminant."""
-        return _normalized(space, [det.mask for det in amplitudes], list(amplitudes.values()))
 
 
 def _normalized(space: OrbitalSpace, masks, amps) -> FermionState:
@@ -277,7 +250,7 @@ def _read_entry(index: int, entry) -> tuple[int, complex]:
         raise _entry_error(index, entry, "re and im must be numbers in the float range") from None
     if not cmath.isfinite(c):
         raise _entry_error(index, entry, f"amplitude is not finite: {c!r}")
-    return SlaterDeterminant.from_orbitals(orbitals).mask, c
+    return sum(1 << (k - 1) for k in orbitals), c
 
 
 def read_state_json(fp) -> FermionState:

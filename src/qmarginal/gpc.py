@@ -2,9 +2,10 @@
 
 A constraint is the affine functional kappa0 + sum_i kappa_i * lam_i with
 integer coefficients over a decreasingly ordered occupation vector.  The
-Borland-Dennis setting (3 fermions, 6 orbitals) carries the complete catalog;
-all other settings ship the Pauli hypercube plus ordering conditions only and
-are flagged partial.
+Borland-Dennis setting (3 fermions, 6 orbitals) carries the complete catalog,
+whose constraints cut out exactly the occupation spectra of pure states, and
+``realise`` builds a state for each of them; all other settings ship the
+Pauli hypercube plus ordering conditions only and are flagged partial.
 
 Ordering conditions lam_i >= lam_{i+1} are chart conditions of the ordered
 parameterization, not polytope facets; they are carried with chamber=True and
@@ -16,6 +17,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .fock import FermionState, OrbitalSpace, level_masks
 
 DEFAULT_PIN_TOL = 1e-8
 EQ_TOL = 1e-6
@@ -55,7 +58,7 @@ class ConstraintCatalog:
     n: int
     d: int
     constraints: tuple[PauliConstraint, ...]
-    completeness: str  # "complete" or "partial"
+    completeness: str  # "complete": the constraints cut out the pure-state polytope; else "partial"
 
     def by_label(self, label: str) -> PauliConstraint:
         for c in self.constraints:
@@ -113,9 +116,8 @@ def catalog(n: int, d: int) -> ConstraintCatalog:
         constraints.append(
             PauliConstraint(0, tuple(kappas), "ineq", f"ord-{i}", chamber=True))
     constraints.extend(_EXTRA_CONSTRAINTS.get((n, d), ()))
-    complete = (n, d) in _COMPLETE_SETTINGS or n == 1
     return ConstraintCatalog(n, d, tuple(constraints),
-                             "complete" if complete else "partial")
+                             "complete" if (n, d) in _COMPLETE_SETTINGS else "partial")
 
 
 def truncate_spectrum(lams: Sequence[float], d_target: int) -> tuple[np.ndarray, float]:
@@ -206,11 +208,37 @@ def pinning_report(lams: Sequence[float], cat: ConstraintCatalog,
     )
 
 
-def catalog_from_json(doc: dict) -> ConstraintCatalog:
-    constraints = tuple(
-        PauliConstraint(int(e["kappa0"]), tuple(int(k) for k in e["kappas"]),
-                        e["kind"], e["label"], bool(e.get("chamber", False)))
-        for e in doc["constraints"]
-    )
-    return ConstraintCatalog(int(doc["n"]), int(doc["d"]), constraints,
-                             doc.get("completeness", "partial"))
+# Borland-Dennis realiser: a|1,2,3> + b|1,4,5> + c|2,4,6> + delta|3,5,6>; any two
+# of its determinants differ in two orbitals, so its 1-RDM is diagonal
+_BD_LEVELS = np.array([[0, 1, 2], [0, 3, 4], [1, 3, 5], [2, 4, 5]])
+
+
+def realise(lams: Sequence[float], n: int, d: int) -> FermionState:
+    """A state whose decreasing occupations are lams, for a complete setting.
+
+    In (3,6) the squared amplitudes of the four Borland-Dennis determinants are
+    a^2 = (lam1+lam2-lam4)/2, b^2 = (lam1-lam2+lam4)/2, c^2 = (lam2-lam1+lam4)/2
+    and delta^2 = (2-lam1-lam2-lam4)/2 = D/2, D the bd-ineq value (Borland and
+    Dennis, J. Phys. B 5, 7 (1972)).  Refused: a partial catalog, an unsorted
+    lams, an equality residual above EQ_TOL or a square below -EQ_TOL; smaller
+    negative squares are taken as 0.
+    """
+    cat = catalog(n, d)
+    # the squares below are those of (3,6), the only complete setting
+    if cat.completeness != "complete":
+        raise ValueError(f"no realiser: the catalog of n={n}, d={d} is partial")
+    lams = np.asarray(lams, dtype=float)
+    if np.any(np.diff(lams) > 0):
+        raise ValueError("occupations must be in decreasing order")
+    # evaluate also refuses a vector of the wrong length
+    for c in cat.constraints:
+        if c.kind == "eq" and abs(evaluate(c, lams)) > EQ_TOL:
+            raise ValueError(f"{c.label} residual {evaluate(c, lams)!r} exceeds {EQ_TOL:g}")
+    l1, l2, l4 = lams[0], lams[1], lams[3]
+    squares = np.array([l1 + l2 - l4, l1 - l2 + l4, l2 - l1 + l4, 2.0 - l1 - l2 - l4]) / 2.0
+    if squares.min() < -EQ_TOL:
+        raise ValueError(f"spectrum outside the polytope: a squared amplitude is {squares.min()!r}")
+    amps = np.sqrt(np.clip(squares, 0.0, None))
+    # the squares sum to 1 up to rounding; clamping can add up to 4 * EQ_TOL
+    return FermionState(OrbitalSpace(d=d, n=n), level_masks(_BD_LEVELS),
+                        amps / np.linalg.norm(amps))

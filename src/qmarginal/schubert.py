@@ -203,17 +203,13 @@ def hersch_zwahlen_check(rho: np.ndarray, pi: Sequence[int], trials: int = 200,
                     candidate_in_cell=in_cell, min_sampled=min_sampled, trials=trials)
 
 
-def partial_trace(rho_ab: np.ndarray, d_a: int, d_b: int, keep: str = "A") -> np.ndarray:
-    """Reduce a (d_a*d_b)-dimensional density matrix, or a stack of them, to one factor."""
+def partial_trace(rho_ab: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+    """Reduce a (d_a*d_b)-dimensional density matrix, or a stack of them, to factor A."""
     rho_ab = np.asarray(rho_ab)
     if rho_ab.ndim < 2 or rho_ab.shape[-2:] != (d_a * d_b, d_a * d_b):
         raise ValueError(f"expected shape (..., {d_a * d_b}, {d_a * d_b}), got {rho_ab.shape}")
     tensor = rho_ab.reshape(rho_ab.shape[:-2] + (d_a, d_b, d_a, d_b))
-    if keep == "A":
-        return np.einsum("...ibjb->...ij", tensor)
-    if keep == "B":
-        return np.einsum("...aiaj->...ij", tensor)
-    raise ValueError("keep must be 'A' or 'B'")
+    return np.einsum("...ibjb->...ij", tensor)
 
 
 @dataclass(frozen=True)
@@ -265,7 +261,7 @@ def check_spectral_inequality(pi: Sequence[int], sigma: Sequence[int],
         trials = range(start, min(start + TRIAL_BLOCK, samples))
         rho_ab = _sample_densities(trials, d_ab, normal_rng, rank_rng)
         lam_ab = np.linalg.eigvalsh(rho_ab)[:, ::-1]
-        lam_a = np.linalg.eigvalsh(partial_trace(rho_ab, d_a, d_b, "A"))[:, ::-1]
+        lam_a = np.linalg.eigvalsh(partial_trace(rho_ab, d_a, d_b))[:, ::-1]
         lhs, rhs = lam_a @ np.array(pi, float), lam_ab @ np.array(sigma, float)
         violated = np.flatnonzero(lhs > rhs + INEQUALITY_MARGIN)
         if violated.size:

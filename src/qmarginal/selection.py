@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (FermionState, OrbitalSpace, SlaterDeterminant, natural_occupations,
-                   occupied, one_rdm, rotate_orbitals, slater_masks)
+from .fock import (FermionState, OrbitalSpace, natural_occupations, occupied, one_rdm,
+                   rotate_orbitals, slater_masks)
 from .gpc import evaluate
 
 DEGENERACY_GAP = 1e-10
@@ -103,23 +103,3 @@ def verify_pinning_lemma(frame, constraints, tol: float = 1e-8) -> list[PinningL
             residual_bound=spectral_radius * tol, pinned=bool(value <= tol),
             degenerate=any(len(set(c.kappas[block])) > 1 for block in blocks)))
     return reports
-
-
-def bd_ansatz_state(space: OrbitalSpace, alpha: complex, beta: complex,
-                    gamma: complex) -> FermionState:
-    """Three-determinant pinned state alpha|1,2,3> + beta|1,4,5> + gamma|2,4,6>.
-
-    The occupation spectrum is sorted iff |alpha|^2 >= |beta|^2 + |gamma|^2 and
-    |beta| >= |gamma|; amplitudes violating that are rejected, since the
-    constraint applies to sorted spectra.
-    """
-    if space.d != 6 or space.n != 3:
-        raise ValueError("the three-determinant ansatz lives in d=6, n=3")
-    a2, b2, g2 = abs(alpha) ** 2, abs(beta) ** 2, abs(gamma) ** 2
-    if a2 < b2 + g2 or b2 < g2:
-        raise ValueError("amplitudes do not produce a decreasing occupation spectrum")
-    return FermionState.from_amplitudes(space, {
-        SlaterDeterminant.from_orbitals((1, 2, 3)): alpha,
-        SlaterDeterminant.from_orbitals((1, 4, 5)): beta,
-        SlaterDeterminant.from_orbitals((2, 4, 6)): gamma,
-    })

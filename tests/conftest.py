@@ -7,16 +7,43 @@ import json
 
 import numpy as np
 
-from qmarginal.fock import FermionState, OrbitalSpace, SlaterDeterminant, slater_masks
-from qmarginal.gpc import ConstraintCatalog
+from qmarginal.fock import FermionState, OrbitalSpace, slater_masks
 
 STATE_AMPLITUDE_CUTOFF = 1e-14
 
 
+def det(*occupied: int) -> int:
+    """Bitmask of the determinant of these distinct 1-based orbitals."""
+    return sum(1 << (k - 1) for k in occupied)
+
+
+def orbitals(mask: int) -> tuple[int, ...]:
+    """The 1-based occupied orbitals of a determinant bitmask, ascending."""
+    return tuple(k + 1 for k in range(mask.bit_length()) if mask >> k & 1)
+
+
 def amplitudes(state) -> dict:
-    """The state's amplitudes keyed by determinant, in the state's order."""
-    return {SlaterDeterminant(mask): c
-            for mask, c in zip(state.masks.tolist(), state.amps.tolist())}
+    """The state's amplitudes keyed by determinant bitmask, in the state's order."""
+    return dict(zip(state.masks.tolist(), state.amps.tolist()))
+
+
+def make_state(space: OrbitalSpace, amps: dict) -> FermionState:
+    """The state with these amplitudes, keyed by determinant bitmask, scaled to unit norm."""
+    values = np.array(list(amps.values()), dtype=complex)
+    return FermionState(space, list(amps), values / np.sqrt(np.sum(np.abs(values) ** 2)))
+
+
+def pinned_spectrum(rng: np.random.Generator) -> np.ndarray:
+    """Decreasing occupations of a random Borland-Dennis state on the bd-ineq facet.
+
+    The squared amplitudes a >= b + c, b >= c of |1,2,3>, |1,4,5>, |2,4,6> are
+    multiples of 2^-20, so every occupation and 2 - lam1 - lam2 - lam4 = 0 are
+    exact in binary and ``realise`` puts no weight on |3,5,6>.
+    """
+    while True:
+        a, b, c = np.diff([0, *np.sort(rng.integers(0, 2 ** 20, 2)), 2 ** 20]) / 2 ** 20
+        if a >= b + c and b >= c:
+            return np.array([a + b, a + c, a, b + c, b, c])
 
 
 def random_state(space: OrbitalSpace, rng: np.random.Generator) -> FermionState:
@@ -29,7 +56,7 @@ def random_state(space: OrbitalSpace, rng: np.random.Generator) -> FermionState:
 
 def write_state_json(state: FermionState, fp) -> None:
     """Serialize a state; amplitudes below STATE_AMPLITUDE_CUTOFF in magnitude are dropped."""
-    entries = [{"orbitals": list(SlaterDeterminant(mask).orbitals), "re": c.real, "im": c.imag}
+    entries = [{"orbitals": list(orbitals(mask)), "re": c.real, "im": c.imag}
                for mask, c in sorted(zip(state.masks.tolist(), state.amps.tolist()))
                if abs(c) > STATE_AMPLITUDE_CUTOFF]
     doc = {"d": state.space.d, "n": state.space.n, "amplitudes": entries}
@@ -38,20 +65,6 @@ def write_state_json(state: FermionState, fp) -> None:
     else:
         with open(fp, "w", encoding="utf-8") as handle:
             json.dump(doc, handle)
-
-
-def catalog_to_json(cat: ConstraintCatalog) -> dict:
-    """The catalog as the document catalog_from_json reads."""
-    return {
-        "n": cat.n,
-        "d": cat.d,
-        "completeness": cat.completeness,
-        "constraints": [
-            {"kappa0": c.kappa0, "kappas": list(c.kappas), "kind": c.kind,
-             "label": c.label, "chamber": c.chamber}
-            for c in cat.constraints
-        ],
-    }
 
 
 def random_pure_density(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -16,24 +16,21 @@ and 5 are stated so that they do not depend on how kappa is normalised:
   smaller.
 """
 import io
-import math
 import time
 from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 
-from conftest import amplitudes, random_mixed_density, random_state
+from conftest import amplitudes, det, orbitals, pinned_spectrum, random_mixed_density, random_state
 from qmarginal.cli import main as cli_main
-from qmarginal.fock import (FermionState, OrbitalSpace, SlaterDeterminant,
-                            natural_occupations, one_rdm)
-from qmarginal.gpc import catalog, evaluate, truncate_spectrum
+from qmarginal.fock import OrbitalSpace, natural_occupations, one_rdm
+from qmarginal.gpc import catalog, evaluate, realise, truncate_spectrum
 from qmarginal import harmonium
 from qmarginal.harmonium import (HarmoniumParams, expand_in_hermite_basis, ground_state_spec,
                                  quasipinning_scan)
 from qmarginal.schubert import check_spectral_inequality, hersch_zwahlen_check, partial_trace
-from qmarginal.selection import bd_ansatz_state, natural_frame, verify_pinning_lemma, \
-    zero_eigenspace_slaters
+from qmarginal.selection import natural_frame, verify_pinning_lemma, zero_eigenspace_slaters
 
 SPACE36 = OrbitalSpace(d=6, n=3)
 CAT36 = catalog(3, 6)
@@ -68,23 +65,17 @@ def test_criterion_02_selection_rule_enumeration():
     expected_eight = {(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 5),
                       (2, 3, 6), (2, 4, 6), (3, 5, 6), (4, 5, 6)}
     expected_three = {(1, 2, 3), (1, 4, 5), (2, 4, 6)}
-    ok = ({SlaterDeterminant(m).orbitals for m in eight.tolist()} == expected_eight
-          and {SlaterDeterminant(m).orbitals for m in three.tolist()} == expected_three)
+    ok = ({orbitals(m) for m in eight.tolist()} == expected_eight
+          and {orbitals(m) for m in three.tolist()} == expected_three)
     assert report(2, ok, "zero-eigenspace determinant sets",
                   f"{len(eight)} and {len(three)} determinants, exact set equality")
 
 
 def test_criterion_03_pinning_lemma_on_ansatz_states():
     rng = np.random.default_rng(77)
-    produced, worst_residual, worst_value = 0, 0.0, 0.0
-    while produced < 500:
-        raw = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        raw /= np.linalg.norm(raw)
-        alpha, beta, gamma = raw
-        if abs(alpha) ** 2 < abs(beta) ** 2 + abs(gamma) ** 2 or abs(beta) < abs(gamma):
-            continue
-        produced += 1
-        state = bd_ansatz_state(SPACE36, alpha, beta, gamma)
+    worst_residual, worst_value = 0.0, 0.0
+    for _ in range(500):
+        state = realise(pinned_spectrum(rng), 3, 6)
         rep, = verify_pinning_lemma(natural_frame(state), [BD_INEQ])
         worst_residual = max(worst_residual, rep.residual_norm)
         worst_value = max(worst_value, abs(rep.constraint_value))
@@ -154,7 +145,7 @@ def test_criterion_06_non_interacting_limit():
     expected = np.zeros(28)
     expected[:3] = 1.0
     deviation = float(np.max(np.abs(lams - expected)))
-    weight = abs(amplitudes(state)[SlaterDeterminant.from_orbitals((1, 2, 3))]) ** 2
+    weight = abs(amplitudes(state)[det(1, 2, 3)]) ** 2
     ok = deviation < 1e-10 and weight > 1.0 - 1e-12
     assert report(6, ok, "kappa=0 reproduces the single-determinant point",
                   f"max occupation deviation {deviation:.2e}, weight {weight:.15f}")
@@ -168,7 +159,7 @@ def test_criterion_07_quadrature_and_basis_stability(monkeypatch):
         patch.setattr(harmonium, "node_count", lambda n, d: 2 * exact(n, d))
         state_b, _ = expand_in_hermite_basis(params, 28)
     amps_b = amplitudes(state_b)
-    amp_change = max(abs(c - amps_b[det]) for det, c in amplitudes(state_a).items())
+    amp_change = max(abs(c - amps_b[mask]) for mask, c in amplitudes(state_a).items())
 
     def d_at(basis):
         _, lams, _ = _spectrum28(1.0 / 3.0, basis=basis)
@@ -210,7 +201,7 @@ def test_criterion_09_partial_trace_identity():
             rho = random_mixed_density(d * d, rng, rank=int(rng.integers(1, d * d + 1)))
             g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             x = (g + g.conj().T) / 2.0
-            reduced = partial_trace(rho, d, d, "A")
+            reduced = partial_trace(rho, d, d)
             lhs = np.trace(reduced @ x)
             rhs = np.trace(rho @ np.kron(x, np.eye(d)))
             worst = max(worst, abs(lhs - rhs))

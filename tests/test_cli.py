@@ -15,11 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmarginal
-from conftest import random_state, write_state_json
+from conftest import det, make_state, random_state, write_state_json
 from qmarginal.cli import EXIT_BROKEN_PIPE, main
-from qmarginal.fock import (FermionState, OrbitalSpace, SlaterDeterminant, natural_occupations,
-                            one_rdm, rotate_orbitals)
-from qmarginal.selection import bd_ansatz_state
+from qmarginal.fock import OrbitalSpace, natural_occupations, one_rdm, rotate_orbitals
+from qmarginal.gpc import realise
 
 
 def run_cli(argv):
@@ -32,10 +31,10 @@ def run_cli(argv):
 @pytest.fixture
 def bd_state_file(tmp_path):
     space = OrbitalSpace(d=6, n=3)
-    state = FermionState.from_amplitudes(space, {
-        SlaterDeterminant.from_orbitals((1, 2, 3)): math.sqrt(0.6),
-        SlaterDeterminant.from_orbitals((1, 4, 5)): math.sqrt(0.3),
-        SlaterDeterminant.from_orbitals((2, 4, 6)): math.sqrt(0.1),
+    state = make_state(space, {
+        det(1, 2, 3): math.sqrt(0.6),
+        det(1, 4, 5): math.sqrt(0.3),
+        det(2, 4, 6): math.sqrt(0.1),
     })
     path = tmp_path / "state.json"
     write_state_json(state, str(path))
@@ -52,8 +51,7 @@ class TestNon:
 
     def test_single_determinant(self, tmp_path):
         space = OrbitalSpace(d=6, n=3)
-        state = FermionState.from_amplitudes(
-            space, {SlaterDeterminant.from_orbitals((1, 2, 3)): 1.0})
+        state = make_state(space, {det(1, 2, 3): 1.0})
         path = tmp_path / "det.json"
         write_state_json(state, str(path))
         code, out = run_cli(["non", str(path), "--json"])
@@ -81,6 +79,19 @@ class TestNon:
     def test_missing_file_exits_2(self):
         code, _ = run_cli(["non", "/nonexistent/state.json"])
         assert code == 2
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_realised_spectrum_read_back(self, seed):
+        # a random four-determinant state's spectrum, realised, written and read
+        a, b, c, e = np.random.default_rng(seed).dirichlet(np.ones(4))
+        lams = np.sort([a + b, a + c, a + e, b + c, b + e, c + e])[::-1]
+        with tempfile.TemporaryDirectory() as folder:
+            path = os.path.join(folder, "realised.json")
+            write_state_json(realise(lams, 3, 6), path)
+            code, out = run_cli(["non", path, "--json"])
+        assert code == 0
+        assert np.max(np.abs(np.array(json.loads(out)["occupations"]) - lams)) <= 1e-14
 
 
 class TestGpc:
@@ -185,8 +196,7 @@ class TestSelection:
     def test_ansatz_weight_of_a_rotated_pinned_state(self, tmp_path):
         # the pinned state in a random orbital basis: the ansatz holds in its
         # natural-orbital basis, not in the basis the file is written in
-        state = bd_ansatz_state(OrbitalSpace(d=6, n=3), math.sqrt(0.6), math.sqrt(0.3),
-                                math.sqrt(0.1))
+        state = realise([7 / 8, 3 / 4, 5 / 8, 3 / 8, 1 / 4, 1 / 8], 3, 6)
         rng = np.random.default_rng(1)
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
         path = tmp_path / "rot.json"

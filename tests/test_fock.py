@@ -9,42 +9,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import amplitudes, random_state, write_state_json
+from conftest import amplitudes, det, make_state, orbitals, random_state, write_state_json
 from qmarginal import fock, linalg
 from qmarginal.fock import (MAX_ORBITALS, UNITARY_TOL, CapacityError, FermionState,
-                            OrbitalSpace, SlaterDeterminant, level_table, levels,
-                            natural_occupations, occupied, one_rdm, read_state_json,
-                            rotate_orbitals, slater_masks)
+                            OrbitalSpace, ket, level_table, levels, natural_occupations,
+                            occupied, one_rdm, read_state_json, rotate_orbitals, slater_masks)
 from qmarginal.harmonium import HarmoniumParams, expand_in_hermite_basis
 
 
-def det(*orbitals):
-    return SlaterDeterminant.from_orbitals(orbitals)
-
-
-def _flip(det: SlaterDeterminant, k: int, filled: bool):
-    """(sign, det with orbital k flipped) if orbital k is filled == filled, else None."""
+def _flip(mask: int, k: int, filled: bool):
+    """(sign, mask with orbital k flipped) if orbital k is filled == filled, else None."""
     if k < 1 or k > MAX_ORBITALS:
         raise ValueError(f"orbital index {k} outside [1, {MAX_ORBITALS}]")
     bit = 1 << (k - 1)
-    if bool(det.mask & bit) != filled:
+    if bool(mask & bit) != filled:
         return None
-    return -1 if (det.mask & (bit - 1)).bit_count() & 1 else 1, SlaterDeterminant(det.mask ^ bit)
+    return -1 if (mask & (bit - 1)).bit_count() & 1 else 1, mask ^ bit
 
 
-def apply_annihilator(det: SlaterDeterminant, k: int):
-    """a_k |det>.  Returns (sign, new det) or None if orbital k is empty."""
-    return _flip(det, k, True)
+def apply_annihilator(mask: int, k: int):
+    """a_k |mask>.  Returns (sign, new mask) or None if orbital k is empty."""
+    return _flip(mask, k, True)
 
 
-def apply_creator(det: SlaterDeterminant, k: int):
-    """a_k^dag |det>.  Returns (sign, new det) or None if orbital k is filled."""
-    return _flip(det, k, False)
+def apply_creator(mask: int, k: int):
+    """a_k^dag |mask>.  Returns (sign, new mask) or None if orbital k is filled."""
+    return _flip(mask, k, False)
 
 
 def enumerate_slaters(space):
-    """All n-fermion determinants, ascending by bitmask value."""
-    return [SlaterDeterminant(mask) for mask in slater_masks(space).tolist()]
+    """All n-fermion determinant bitmasks, ascending."""
+    return slater_masks(space).tolist()
 
 
 def loop_one_rdm(state):
@@ -53,7 +48,7 @@ def loop_one_rdm(state):
     rho = np.zeros((d, d), dtype=complex)
     amps = amplitudes(state)
     for src, c in amps.items():
-        for j in src.orbitals:
+        for j in orbitals(src):
             s1, reduced = apply_annihilator(src, j)
             for k in range(1, d + 1):
                 created = apply_creator(reduced, k)
@@ -82,14 +77,14 @@ def loop_rotate_orbitals(state, u):
 
 
 def sparse_state(space, orbital_sets, rng):
-    amps = {det(*orbitals): complex(rng.standard_normal(), rng.standard_normal())
-            for orbitals in orbital_sets}
-    return FermionState.from_amplitudes(space, amps)
+    amps = {det(*occupied): complex(rng.standard_normal(), rng.standard_normal())
+            for occupied in orbital_sets}
+    return make_state(space, amps)
 
 
 def bd_example_state():
     space = OrbitalSpace(d=6, n=3)
-    return FermionState.from_amplitudes(space, {
+    return make_state(space, {
         det(1, 2, 3): math.sqrt(0.6),
         det(1, 4, 5): math.sqrt(0.3),
         det(2, 4, 6): math.sqrt(0.1),
@@ -138,11 +133,11 @@ class TestEnumeration:
 
     def test_levels_list_the_orbitals(self):
         space = OrbitalSpace(d=64, n=3)
-        masks = [det(1, 2, 64).mask, det(5, 9, 33).mask, det(62, 63, 64).mask]
+        masks = [det(1, 2, 64), det(5, 9, 33), det(62, 63, 64)]
         assert (levels(masks, 64, 3) + 1).tolist() == [[1, 2, 64], [5, 9, 33], [62, 63, 64]]
         masks = slater_masks(space)[::997]
         assert [tuple(row) for row in (levels(masks, 64, 3) + 1).tolist()] == \
-            [SlaterDeterminant(m).orbitals for m in masks.tolist()]
+            [orbitals(m) for m in masks.tolist()]
 
 
 class TestOperators:
@@ -191,13 +186,13 @@ class TestOperators:
 class TestOneRDM:
     def test_single_determinant(self):
         space = OrbitalSpace(d=6, n=3)
-        state = FermionState.from_amplitudes(space, {det(1, 2, 3): 1.0})
+        state = make_state(space, {det(1, 2, 3): 1.0})
         assert np.allclose(one_rdm(state), np.diag([1, 1, 1, 0, 0, 0]))
 
     def test_ghz_like_superposition(self):
         # oracle: direct computation over the 20-determinant basis gives I/2
         space = OrbitalSpace(d=6, n=3)
-        state = FermionState.from_amplitudes(
+        state = make_state(
             space, {det(1, 2, 3): 1.0, det(4, 5, 6): 1.0})
         assert np.allclose(one_rdm(state), np.eye(6) / 2.0, atol=1e-14)
 
@@ -273,13 +268,13 @@ class TestOneRDM:
 
     def test_full_shell_is_the_identity(self):
         space = OrbitalSpace(d=6, n=6)
-        state = FermionState.from_amplitudes(space, {det(*range(1, 7)): 1.0})
+        state = make_state(space, {det(*range(1, 7)): 1.0})
         assert np.array_equal(one_rdm(state), np.eye(6))
 
     @pytest.mark.parametrize("amplitude", [1.0, -1.0, 1j, -1j])
     def test_single_determinant_bit_for_bit(self, amplitude):
         space = OrbitalSpace(d=8, n=3)
-        state = FermionState.from_amplitudes(space, {det(2, 5, 8): amplitude})
+        state = make_state(space, {det(2, 5, 8): amplitude})
         assert np.array_equal(one_rdm(state), np.diag([0, 1, 0, 0, 1, 0, 0, 1]))
 
     @pytest.mark.parametrize("n,d", [(3, 12), (4, 10), (5, 9)])
@@ -301,7 +296,7 @@ class TestOneRDM:
             values = values + 1j * rng.standard_normal(len(basis))
         values /= np.linalg.norm(values[sorted(support)])
         zeros = (0.0, -0.0, 0j)
-        masks = [det.mask for det in basis]
+        masks = basis
         padded = FermionState(space, masks, [values[i] if i in support else zeros[i % 3]
                                              for i in range(len(basis))])
         kept = sorted(support)
@@ -310,7 +305,7 @@ class TestOneRDM:
 
     def test_unnormalized_rejected(self):
         space = OrbitalSpace(d=4, n=2)
-        state = FermionState.from_amplitudes(space, {det(1, 2): 1.0})
+        state = make_state(space, {det(1, 2): 1.0})
         object.__setattr__(state, "amps", np.array([1.1 + 0j]))
         with pytest.raises(ValueError):
             one_rdm(state)
@@ -318,7 +313,7 @@ class TestOneRDM:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_norm_rejected(self, value):
         space = OrbitalSpace(d=4, n=2)
-        state = FermionState.from_amplitudes(space, {det(1, 2): 1.0})
+        state = make_state(space, {det(1, 2): 1.0})
         object.__setattr__(state, "amps", np.array([complex(value)]))
         with pytest.raises(ValueError, match="norm"):
             one_rdm(state)
@@ -326,16 +321,16 @@ class TestOneRDM:
     @pytest.mark.parametrize("value", [complex(math.nan, 0.0), complex(1.0, math.inf)])
     def test_non_finite_amplitude_rejected(self, value):
         with pytest.raises(ValueError, match="non-finite"):
-            FermionState(OrbitalSpace(d=4, n=2), [det(1, 2).mask], [value])
+            FermionState(OrbitalSpace(d=4, n=2), [det(1, 2)], [value])
 
 
 class TestStateArrays:
     def test_caller_order_kept(self):
         space = OrbitalSpace(d=6, n=3)
         order = [det(2, 4, 6), det(1, 2, 3), det(1, 4, 5), det(3, 5, 6)]
-        state = FermionState.from_amplitudes(space, dict(zip(order, [0.5, 0.5, 0.0, 0.5j])))
+        state = make_state(space, dict(zip(order, [0.5, 0.5, 0.0, 0.5j])))
         assert state.masks.dtype == np.uint64 and state.amps.dtype == complex
-        assert state.masks.tolist() == [d0.mask for d0 in order]
+        assert state.masks.tolist() == order
         assert state.amps[2] == 0
 
     def test_normalization_divides_by_the_numpy_norm(self):
@@ -343,7 +338,9 @@ class TestStateArrays:
         rng = np.random.default_rng(3)
         basis = enumerate_slaters(OrbitalSpace(d=8, n=3))
         values = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-        state = FermionState.from_amplitudes(OrbitalSpace(d=8, n=3), dict(zip(basis, values)))
+        entries = [{"orbitals": list(orbitals(mask)), "re": c.real, "im": c.imag}
+                   for mask, c in zip(basis, values)]
+        state = read_state_json(io.StringIO(json.dumps({"d": 8, "n": 3, "amplitudes": entries})))
         assert np.array_equal(state.amps, values / np.sqrt(np.sum(np.abs(values) ** 2)))
 
     @pytest.mark.parametrize("masks,message", [
@@ -369,16 +366,22 @@ class TestStateArrays:
 
     def test_slater_masks_match_enumeration(self):
         space = OrbitalSpace(d=7, n=3)
-        expected = sorted(det(*orbitals).mask
-                          for orbitals in itertools.combinations(range(1, 8), 3))
+        expected = sorted(det(*occupied)
+                          for occupied in itertools.combinations(range(1, 8), 3))
         assert slater_masks(space).tolist() == expected
 
     @pytest.mark.parametrize("value,message", [
         (1e200, "overflow when squared"), (complex(1e308, 1e308), "overflow when squared"),
         (1e-200, "underflow when squared"), (1e-160, "underflow when squared")])
     def test_extreme_magnitudes_rejected(self, value, message):
+        entry = {"orbitals": [1, 2], "re": complex(value).real, "im": complex(value).imag}
+        raw = io.StringIO(json.dumps({"d": 4, "n": 2, "amplitudes": [entry]}))
         with pytest.raises(ValueError, match=message):
-            FermionState.from_amplitudes(OrbitalSpace(d=4, n=2), {det(1, 2): value})
+            read_state_json(raw)
+
+    def test_ket_lists_the_orbitals(self):
+        assert ket(det(1, 2, 4)) == "|1,2,4>"
+        assert ket(det(3, 64)) == "|3,64>"
 
 
 class TestNaturalOccupations:
@@ -390,7 +393,7 @@ class TestNaturalOccupations:
 
     def test_ghz_spectrum_and_bd_equality(self):
         space = OrbitalSpace(d=6, n=3)
-        state = FermionState.from_amplitudes(
+        state = make_state(
             space, {det(1, 2, 3): 1.0, det(4, 5, 6): 1.0})
         lams, _ = natural_occupations(one_rdm(state))
         assert np.allclose(lams, 0.5)
@@ -398,7 +401,7 @@ class TestNaturalOccupations:
 
     def test_hartree_fock_point(self):
         space = OrbitalSpace(d=6, n=3)
-        state = FermionState.from_amplitudes(space, {det(1, 2, 3): 1.0})
+        state = make_state(space, {det(1, 2, 3): 1.0})
         lams, _ = natural_occupations(one_rdm(state))
         assert np.allclose(lams, [1, 1, 1, 0, 0, 0])
 
@@ -469,7 +472,7 @@ class TestRotateOrbitals:
 
     def test_permutation_minor_sign(self):
         space = OrbitalSpace(d=3, n=2)
-        state = FermionState.from_amplitudes(space, {det(1, 2): 1.0})
+        state = make_state(space, {det(1, 2): 1.0})
         swap = np.eye(3)[:, [2, 1, 0]]
         rotated = rotate_orbitals(state, swap)
         assert abs(abs(amplitudes(rotated)[det(2, 3)]) - 1.0) < 1e-12
@@ -587,7 +590,7 @@ class TestStateIO:
 
     def test_writer_drops_negligible_amplitudes(self):
         space = OrbitalSpace(d=4, n=2)
-        state = FermionState(space, [det(1, 2).mask, det(3, 4).mask],
+        state = FermionState(space, [det(1, 2), det(3, 4)],
                              [math.sqrt(1 - 1e-30), 1e-15])
         buffer = io.StringIO()
         write_state_json(state, buffer)

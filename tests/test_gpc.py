@@ -5,17 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import amplitudes, catalog_to_json, random_state
-from qmarginal.fock import (FermionState, OrbitalSpace, SlaterDeterminant,
-                            natural_occupations, one_rdm)
-from qmarginal.gpc import (PauliConstraint, catalog, catalog_from_json, evaluate,
-                           pinning_report, truncate_spectrum)
+from conftest import amplitudes, det, random_state
+from qmarginal.fock import OrbitalSpace, natural_occupations, one_rdm, rotate_orbitals
+from qmarginal.gpc import (EQ_TOL, PauliConstraint, catalog, evaluate, pinning_report, realise,
+                           truncate_spectrum)
 
 BD_EXAMPLE = np.array([0.9, 0.7, 0.6, 0.4, 0.3, 0.1])
-
-
-def det(*orbitals):
-    return SlaterDeterminant.from_orbitals(orbitals)
 
 
 class TestConstraint:
@@ -40,8 +35,10 @@ class TestCatalog:
         assert cat.by_label("bd-eq1").kappas == (1, 0, 0, 0, 0, 1)
 
     def test_single_particle_complete(self):
+        # a pure one-fermion state has occupations (1, 0, ..., 0), which the
+        # hypercube and ordering conditions do not cut out
         cat = catalog(1, 5)
-        assert cat.completeness == "complete"
+        assert cat.completeness == "partial"
         assert all(c.label.startswith(("norm", "pauli", "ord")) for c in cat.constraints)
 
     def test_unknown_setting_partial(self):
@@ -58,10 +55,6 @@ class TestCatalog:
     def test_rejects_n_below_one(self, n):
         with pytest.raises(ValueError, match=f"^need n >= 1, got n={n}$"):
             catalog(n, 6)
-
-    def test_json_round_trip(self):
-        cat = catalog(3, 6)
-        assert catalog_from_json(catalog_to_json(cat)) == cat
 
 
 class TestEvaluate:
@@ -168,24 +161,9 @@ class TestPinningReport:
         assert pinning_report(BD_EXAMPLE, catalog(3, 6), pin_tol=0.0).pin_tol == 0.0
 
 
-def realize_bd_point(lams):
-    """Any point of the d=6 polytope is reached by four determinants.
-
-    With weights a,b,c,e on |1,2,3>, |1,4,5>, |2,4,6>, |3,5,6> the occupation
-    vector is (a+b, a+c, a+e, b+c, b+e, c+e) of the squared amplitudes, the
-    equalities hold automatically, and the facet value is twice the |3,5,6>
-    weight; solving the linear system gives the amplitudes directly.
-    """
-    lams = np.asarray(lams, dtype=float)
-    a_sq = (lams[0] + lams[1] + lams[2] - 1.0) / 2.0
-    weights = np.array([a_sq, lams[0] - a_sq, lams[1] - a_sq, lams[2] - a_sq])
-    if weights.min() < -1e-12:
-        raise ValueError("point outside the polytope")
-    weights = np.clip(weights, 0.0, None)
-    space = OrbitalSpace(d=6, n=3)
-    supports = [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6)]
-    return FermionState.from_amplitudes(
-        space, {det(*orbitals): math.sqrt(w) for orbitals, w in zip(supports, weights)})
+def bd_spectrum(facet_value):
+    """Decreasing occupations with the three equalities and this bd-ineq value."""
+    return np.array([0.9, 0.7, 0.6 + facet_value, 0.4 - facet_value, 0.3, 0.1])
 
 
 class TestSufficiency:
@@ -203,7 +181,7 @@ class TestSufficiency:
         cat = catalog(3, 6)
         for _ in range(25):
             target = self.sample_polytope_point(rng)
-            state = realize_bd_point(target)
+            state = realise(target, 3, 6)
             lams, _ = natural_occupations(one_rdm(state))
             assert np.max(np.abs(lams - target)) < 1e-8
             report = pinning_report(lams, cat)
@@ -211,7 +189,61 @@ class TestSufficiency:
 
     def test_facet_value_equals_twice_last_weight(self):
         target = np.array([0.9, 0.8, 0.75, 0.25, 0.2, 0.1])
-        state = realize_bd_point(target)
+        state = realise(target, 3, 6)
         weight = abs(amplitudes(state)[det(3, 5, 6)]) ** 2
         value = evaluate(catalog(3, 6).by_label("bd-ineq"), target)
         assert abs(value - 2.0 * weight) < 1e-12
+
+
+class TestRealise:
+    @pytest.mark.parametrize("n,d", [(3, 7), (1, 5), (2, 4)])
+    def test_partial_catalog_refused(self, n, d):
+        lams = np.zeros(d)
+        lams[:n] = 1.0
+        with pytest.raises(ValueError, match=f"^no realiser: the catalog of n={n}, d={d} "):
+            realise(lams, n, d)
+
+    def test_unsorted_spectrum_refused(self):
+        # a pure-state spectrum in the wrong order: the equalities and the
+        # squares alone would accept it
+        with pytest.raises(ValueError, match="decreasing"):
+            realise([0.7, 0.9, 0.6, 0.4, 0.1, 0.3], 3, 6)
+
+    def test_facet_below_tolerance_refused(self):
+        with pytest.raises(ValueError, match="outside the polytope"):
+            realise(bd_spectrum(-1e-5), 3, 6)
+
+    def test_small_negative_square_clamped(self):
+        state = realise(bd_spectrum(-1e-7), 3, 6)
+        assert amplitudes(state)[det(3, 5, 6)] == 0
+        assert abs(np.linalg.norm(state.amps) - 1.0) < 1e-15
+
+    def test_equality_residual_refused(self):
+        lams = BD_EXAMPLE + np.array([1e-5, -1e-5, 0, 0, 0, 0])
+        assert evaluate(catalog(3, 6).by_label("norm"), lams) == pytest.approx(0, abs=1e-15)
+        with pytest.raises(ValueError, match="^bd-eq1 residual .* exceeds 1e-06$"):
+            realise(lams, 3, 6)
+        # a residual within EQ_TOL is accepted
+        realise(BD_EXAMPLE + np.array([EQ_TOL / 2, -EQ_TOL / 2, 0, 0, 0, 0]), 3, 6)
+
+    def test_wrong_length_refused(self):
+        with pytest.raises(ValueError, match="length-5"):
+            realise(BD_EXAMPLE[:5], 3, 6)
+
+    def test_determinants_and_squares(self):
+        state = realise([7 / 8, 3 / 4, 5 / 8, 3 / 8, 1 / 4, 1 / 8], 3, 6)
+        assert amplitudes(state) == pytest.approx(
+            {det(1, 2, 3): math.sqrt(5 / 8), det(1, 4, 5): 0.5, det(2, 4, 6): math.sqrt(1 / 8),
+             det(3, 5, 6): 0.0}, abs=1e-16)
+
+    @pytest.mark.parametrize("facet_value", [1e-2, 1e-8, 1e-12, 1e-14])
+    def test_facet_value_survives_haar_rotations(self, facet_value):
+        # the realised state has D = 2 delta^2; rotated by complex Haar
+        # unitaries, the natural occupations must give it back
+        state = realise(bd_spectrum(facet_value), 3, 6)
+        bd = catalog(3, 6).by_label("bd-ineq")
+        rng = np.random.default_rng(36)
+        for _ in range(20):
+            u, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+            lams, _ = natural_occupations(one_rdm(rotate_orbitals(state, u)), vectors=False)
+            assert abs(evaluate(bd, lams) - facet_value) <= 1e-14

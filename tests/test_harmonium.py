@@ -9,9 +9,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.special import roots_hermite
 
-from conftest import amplitudes
+from conftest import amplitudes, det, orbitals
 from qmarginal import harmonium, linalg
-from qmarginal.fock import natural_occupations, one_rdm, SlaterDeterminant
+from qmarginal.fock import natural_occupations, one_rdm
 from qmarginal.gpc import catalog, evaluate, truncate_spectrum
 from qmarginal.harmonium import (BasisDeficitError, HarmoniumParams, expand_in_hermite_basis,
                                  ground_state_spec, hermite_functions, quasipinning_scan)
@@ -109,19 +109,18 @@ def full_tensor_amplitudes(params, d, g=None):
     amps = {levels: math.sqrt(math.factorial(n)) * tensor[levels]
             for levels in itertools.combinations(range(d), n)}
     norm = math.sqrt(sum(c * c for c in amps.values()))
-    return {SlaterDeterminant.from_orbitals([lv + 1 for lv in levels]): c / norm
-            for levels, c in amps.items()}
+    return {det(*(lv + 1 for lv in levels)): c / norm for levels, c in amps.items()}
 
 
 def assert_matches_oracle(state, reference, n, tol, wrong_parity_tol):
     """The state holds exactly the oracle's parity-allowed determinants, each
     within tol of the oracle; the oracle's other amplitudes vanish."""
     parity = n * (n - 1) // 2 % 2
-    allowed = {det for det in reference if sum(k - 1 for k in det.orbitals) % 2 == parity}
+    allowed = {mask for mask in reference if sum(k - 1 for k in orbitals(mask)) % 2 == parity}
     formed = amplitudes(state)
     assert formed.keys() == allowed
-    assert max(abs(c - float(reference[det])) for det, c in formed.items()) < tol
-    assert max(abs(reference[det]) for det in reference.keys() - allowed) < wrong_parity_tol
+    assert max(abs(c - float(reference[mask])) for mask, c in formed.items()) < tol
+    assert max(abs(reference[mask]) for mask in reference.keys() - allowed) < wrong_parity_tol
 
 
 def apply_hamiltonian(spec, coords):
@@ -253,7 +252,7 @@ class TestGroundStateSpec:
 class TestExpansion:
     def test_non_interacting_single_determinant(self):
         state, deficit = expand_in_hermite_basis(HarmoniumParams(n=3, kappa=0.0), 10)
-        dominant = abs(amplitudes(state)[SlaterDeterminant.from_orbitals((1, 2, 3))]) ** 2
+        dominant = abs(amplitudes(state)[det(1, 2, 3)]) ** 2
         assert dominant > 1.0 - 1e-12
         assert abs(deficit) < 1e-12
 
@@ -262,7 +261,7 @@ class TestExpansion:
         # the C(28, 3) = 3276
         state, _ = expand_in_hermite_basis(HarmoniumParams(n=3, kappa=1.0 / 3.0), 28)
         assert state.masks.size == 1638
-        assert all(sum(k - 1 for k in det.orbitals) % 2 == 1 for det in amplitudes(state))
+        assert all(sum(k - 1 for k in orbitals(mask)) % 2 == 1 for mask in amplitudes(state))
 
     def test_norm_deficit_small_at_moderate_coupling(self):
         _, _, deficit = spectrum(0.1, basis=28)
@@ -322,7 +321,7 @@ class TestExpansion:
         monkeypatch.setattr(harmonium, "node_count", lambda n, d: 2 * exact(n, d))
         state_b, _ = expand_in_hermite_basis(params, 12)
         amps_b = amplitudes(state_b)
-        diffs = [abs(c - amps_b[det]) for det, c in amplitudes(state_a).items()]
+        diffs = [abs(c - amps_b[mask]) for mask, c in amplitudes(state_a).items()]
         assert max(diffs) < 1e-13
 
     @pytest.mark.parametrize("n,kappa,basis,nodes", [
@@ -587,11 +586,11 @@ class TestIndependentDiagonalizationOracle:
         omega = math.sqrt(1.0 + 2.0 * kappa)
         assert energy == pytest.approx(0.5 + 4.0 * omega, rel=1e-12)
         state, _ = expand_in_hermite_basis(HarmoniumParams(n=n, kappa=kappa), d_basis)
-        key = SlaterDeterminant.from_orbitals((1, 2, 3))
+        key = det(1, 2, 3)
         expanded = amplitudes(state)
         sign = math.copysign(1.0, amps[(0, 1, 2)] * expanded[key].real)
-        diffs = [abs(amps[tuple(k - 1 for k in det.orbitals)] - sign * c.real)
-                 for det, c in expanded.items()]
+        diffs = [abs(amps[tuple(k - 1 for k in orbitals(mask))] - sign * c.real)
+                 for mask, c in expanded.items()]
         assert max(diffs) < 1e-10
 
 
@@ -704,8 +703,7 @@ def mpmath_amplitudes(n, kappa, d_basis, dps=34):
             for combo in combos:
                 amps[combo] += w_u * mp_det([m[k] for k in combo])
         scale = (-1) ** (n * (n - 1) // 2) / mpmath.sqrt(sum(c * c for c in amps.values()))
-        return {SlaterDeterminant.from_orbitals([k + 1 for k in combo]): c * scale
-                for combo, c in amps.items()}
+        return {det(*(k + 1 for k in combo)): c * scale for combo, c in amps.items()}
 
 
 class TestHighPrecisionOracle:

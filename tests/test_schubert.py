@@ -80,7 +80,7 @@ def first_violation_by_loop(pi, sigma, d_a, d_b, samples, seed):
         rho_ab = g @ g.conj().T
         rho_ab = rho_ab / np.real(np.trace(rho_ab))
         lam_ab = np.sort(np.linalg.eigvalsh(rho_ab))[::-1]
-        lam_a = np.sort(np.linalg.eigvalsh(partial_trace(rho_ab, d_a, d_b, "A")))[::-1]
+        lam_a = np.sort(np.linalg.eigvalsh(partial_trace(rho_ab, d_a, d_b)))[::-1]
         lhs, rhs = float(np.dot(pi, lam_a)), float(np.dot(sigma, lam_ab))
         if lhs > rhs + 1e-10:
             return {"trial": trial, "kind": kind, "lam_a": [float(v) for v in lam_a],
@@ -288,20 +288,26 @@ class TestDuality:
         assert hits == 0
 
 
+def marginal_b(rho, d_a, d_b):
+    """The B marginal: partial_trace keeps A, so swap the two factors first."""
+    swapped = rho.reshape(d_a, d_b, d_a, d_b).transpose(1, 0, 3, 2).reshape(d_a * d_b, -1)
+    return partial_trace(swapped, d_b, d_a)
+
+
 class TestPartialTrace:
     def test_bell_state(self):
         psi = np.zeros(4)
         psi[0] = psi[3] = 1 / np.sqrt(2)
         rho = np.outer(psi, psi)
-        assert np.allclose(partial_trace(rho, 2, 2, "A"), np.eye(2) / 2)
+        assert np.allclose(partial_trace(rho, 2, 2), np.eye(2) / 2)
 
     def test_product_state(self):
         rng = np.random.default_rng(5)
         rho_a = random_mixed_density(2, rng)
         rho_b = random_mixed_density(3, rng)
         rho = np.kron(rho_a, rho_b)
-        assert np.allclose(partial_trace(rho, 2, 3, "A"), rho_a, atol=1e-12)
-        assert np.allclose(partial_trace(rho, 2, 3, "B"), rho_b, atol=1e-12)
+        assert np.allclose(partial_trace(rho, 2, 3), rho_a, atol=1e-12)
+        assert np.allclose(marginal_b(rho, 2, 3), rho_b, atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -310,10 +316,9 @@ class TestPartialTrace:
     def test_stack_reduces_each_matrix(self):
         rng = np.random.default_rng(6)
         stack = np.array([random_mixed_density(6, rng) for _ in range(5)])
-        for keep in "AB":
-            reduced = partial_trace(stack, 2, 3, keep)
-            for rho, part in zip(stack, reduced):
-                assert np.array_equal(part, partial_trace(rho, 2, 3, keep))
+        reduced = partial_trace(stack, 2, 3)
+        for rho, part in zip(stack, reduced):
+            assert np.array_equal(part, partial_trace(rho, 2, 3))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3]), st.sampled_from([2, 3]))
@@ -322,7 +327,7 @@ class TestPartialTrace:
         rho = random_mixed_density(d_a * d_b, rng)
         g = rng.standard_normal((d_a, d_a)) + 1j * rng.standard_normal((d_a, d_a))
         x = (g + g.conj().T) / 2.0
-        lhs = np.trace(partial_trace(rho, d_a, d_b, "A") @ x)
+        lhs = np.trace(partial_trace(rho, d_a, d_b) @ x)
         rhs = np.trace(rho @ np.kron(x, np.eye(d_b)))
         assert abs(lhs - rhs) < 1e-10
 
@@ -330,7 +335,7 @@ class TestPartialTrace:
         rng = np.random.default_rng(17)
         for _ in range(50):
             rho = random_mixed_density(6, rng, rank=int(rng.integers(1, 7)))
-            reduced = partial_trace(rho, 2, 3, "A")
+            reduced = partial_trace(rho, 2, 3)
             assert abs(np.trace(reduced).real - 1.0) < 1e-10
             assert np.linalg.eigvalsh(reduced).min() > -1e-10
 
@@ -402,6 +407,6 @@ class TestSpectralInequality:
         # sanity of the sampler: marginals of pure states have equal nonzero spectra
         rng = np.random.default_rng(21)
         rho = random_pure_density(4, rng)
-        lam_a = np.sort(np.linalg.eigvalsh(partial_trace(rho, 2, 2, "A")))[::-1]
-        lam_b = np.sort(np.linalg.eigvalsh(partial_trace(rho, 2, 2, "B")))[::-1]
+        lam_a = np.sort(np.linalg.eigvalsh(partial_trace(rho, 2, 2)))[::-1]
+        lam_b = np.sort(np.linalg.eigvalsh(marginal_b(rho, 2, 2)))[::-1]
         assert np.allclose(lam_a, lam_b, atol=1e-12)

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import amplitudes, random_state
-from qmarginal.fock import (FermionState, OrbitalSpace, SlaterDeterminant,
-                            natural_occupations, one_rdm, slater_masks)
-from qmarginal.gpc import PauliConstraint, catalog, evaluate, pinning_report
-from qmarginal.selection import (bd_ansatz_state, natural_frame, out_of_support_weight,
-                                 verify_pinning_lemma, zero_eigenspace_slaters)
+from conftest import amplitudes, det, make_state, orbitals, pinned_spectrum, random_state
+from qmarginal.fock import FermionState, OrbitalSpace, natural_occupations, one_rdm, slater_masks
+from qmarginal.gpc import PauliConstraint, catalog, evaluate, pinning_report, realise
+from qmarginal.selection import (natural_frame, out_of_support_weight, verify_pinning_lemma,
+                                 zero_eigenspace_slaters)
 
 SPACE = OrbitalSpace(d=6, n=3)
 CAT = catalog(3, 6)
@@ -18,23 +17,21 @@ BD_INEQ = CAT.by_label("bd-ineq")
 EIGHT = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 5), (2, 3, 6), (2, 4, 6),
          (3, 5, 6), (4, 5, 6)]
 THREE = [(1, 2, 3), (1, 4, 5), (2, 4, 6)]
+# exact in binary: the realised state lies in the span of THREE
+PINNED = (7 / 8, 3 / 4, 5 / 8, 3 / 8, 1 / 4, 1 / 8)
 
 
-def det(*orbitals):
-    return SlaterDeterminant.from_orbitals(orbitals)
-
-
-def slater_value(constraint, det0: SlaterDeterminant) -> int:
+def slater_value(constraint, mask: int) -> int:
     """Integer eigenvalue of the constraint operator on one determinant."""
-    return constraint.kappa0 + sum(constraint.kappas[k - 1] for k in det0.orbitals)
+    return constraint.kappa0 + sum(constraint.kappas[k - 1] for k in orbitals(mask))
 
 
 def basis(space):
-    return [SlaterDeterminant(mask) for mask in slater_masks(space).tolist()]
+    return slater_masks(space).tolist()
 
 
 def orbital_sets(masks):
-    return sorted(SlaterDeterminant(mask).orbitals for mask in masks.tolist())
+    return sorted(orbitals(mask) for mask in masks.tolist())
 
 
 def lemma(state, constraint, tol=1e-8):
@@ -52,13 +49,13 @@ class TestDOperator:
     def test_pauli_top_counts_first_orbital(self):
         top = CAT.by_label("pauli-top")
         masks = zero_eigenspace_slaters([top], SPACE)
-        assert orbital_sets(masks) == sorted(d0.orbitals for d0 in basis(SPACE) if 1 in d0.orbitals)
+        assert orbital_sets(masks) == sorted(orbitals(m) for m in basis(SPACE) if 1 in orbitals(m))
 
     def test_kernel_matches_per_determinant_values(self):
         # every catalog constraint, alone and together with bd-ineq
         for constraint in CAT.constraints:
             for group in ([constraint], [constraint, BD_INEQ]):
-                expected = [d0.mask for d0 in basis(SPACE)
+                expected = [d0 for d0 in basis(SPACE)
                             if all(slater_value(c, d0) == 0 for c in group)]
                 assert zero_eigenspace_slaters(group, SPACE).tolist() == expected
 
@@ -90,7 +87,7 @@ class TestZeroEigenspace:
         assert np.all(masks[1:] > masks[:-1])
         # ord-1 = lam_1 - lam_2 >= 0 vanishes when orbitals 1 and 2 are both filled or both empty
         assert orbital_sets(masks) == sorted(
-            d0.orbitals for d0 in basis(space) if (1 in d0.orbitals) == (2 in d0.orbitals))
+            orbitals(m) for m in basis(space) if (1 in orbitals(m)) == (2 in orbitals(m)))
 
     def test_kernel_states_are_annihilated_exactly(self):
         masks = zero_eigenspace_slaters(BD_EQS, SPACE)
@@ -125,14 +122,14 @@ class TestAnsatzFromReport:
 
 class TestPinningLemma:
     def test_pinned_three_determinant_state(self):
-        state = bd_ansatz_state(SPACE, math.sqrt(0.6), math.sqrt(0.3), math.sqrt(0.1))
+        state = realise(PINNED, 3, 6)
         report = lemma(state, BD_INEQ)
         assert abs(report.constraint_value) < 1e-12
         assert report.residual_norm < 1e-12
         assert report.pinned and not report.degenerate
 
     def test_single_determinant_relabels_to_hartree_fock(self):
-        state = FermionState.from_amplitudes(SPACE, {det(1, 2, 4): 1.0})
+        state = make_state(SPACE, {det(1, 2, 4): 1.0})
         report = lemma(state, BD_INEQ)
         assert report.constraint_value == 0.0
         assert report.residual_norm == 0.0
@@ -147,28 +144,20 @@ class TestPinningLemma:
         assert not report.pinned
 
     def test_residual_bound_scales_with_tol(self):
-        state = bd_ansatz_state(SPACE, math.sqrt(0.6), math.sqrt(0.3), math.sqrt(0.1))
+        state = realise(PINNED, 3, 6)
         report = lemma(state, BD_INEQ, tol=1e-4)
         assert report.residual_bound == pytest.approx(2 * 1e-4)  # spectral radius 2
 
     @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
     def test_tolerance_must_be_finite_and_non_negative(self, tol):
-        state = bd_ansatz_state(SPACE, math.sqrt(0.6), math.sqrt(0.3), math.sqrt(0.1))
+        state = realise(PINNED, 3, 6)
         with pytest.raises(ValueError, match=rf"^tol must be a finite number >= 0, got {tol!r}$"):
             verify_pinning_lemma(natural_frame(state), [BD_INEQ], tol=tol)
 
     def test_lemma_over_pinned_ensemble(self):
         rng = np.random.default_rng(42)
-        produced = 0
-        while produced < 50:
-            raw = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            raw /= np.linalg.norm(raw)
-            alpha, beta, gamma = raw
-            if abs(alpha) ** 2 < abs(beta) ** 2 + abs(gamma) ** 2 or abs(beta) < abs(gamma):
-                continue
-            produced += 1
-            state = bd_ansatz_state(SPACE, alpha, beta, gamma)
-            report = lemma(state, BD_INEQ)
+        for _ in range(50):
+            report = lemma(realise(pinned_spectrum(rng), 3, 6), BD_INEQ)
             if report.degenerate:
                 continue
             assert report.residual_norm < 1e-10
@@ -178,11 +167,11 @@ class TestPinningLemma:
     @pytest.mark.parametrize("make", ["bd", "haar", "single"])
     def test_list_form_equals_one_constraint_calls(self, make):
         if make == "bd":
-            state = bd_ansatz_state(SPACE, 0.8 + 0.1j, 0.45 - 0.2j, 0.2j)
+            state = realise(PINNED, 3, 6)
         elif make == "haar":
             state = random_state(SPACE, np.random.default_rng(5))
         else:
-            state = FermionState.from_amplitudes(SPACE, {det(1, 2, 4): 1.0})
+            state = make_state(SPACE, {det(1, 2, 4): 1.0})
         constraints = list(CAT.constraints)
         frame = natural_frame(state)
         reports = verify_pinning_lemma(frame, constraints, tol=1e-6)
@@ -213,29 +202,17 @@ class TestPinningLemma:
 class TestAnsatzConverse:
     def test_random_ordered_amplitudes_land_on_facet(self):
         rng = np.random.default_rng(9)
-        count = 0
-        while count < 100:
-            raw = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            raw /= np.linalg.norm(raw)
-            alpha, beta, gamma = raw
-            if abs(alpha) ** 2 < abs(beta) ** 2 + abs(gamma) ** 2 or abs(beta) < abs(gamma):
-                continue
-            count += 1
-            state = bd_ansatz_state(SPACE, alpha, beta, gamma)
+        for _ in range(100):
+            state = realise(pinned_spectrum(rng), 3, 6)
+            assert orbital_sets(state.masks[state.amps != 0]) == sorted(THREE)
             lams, _ = natural_occupations(one_rdm(state))
             assert np.all(np.diff(lams) <= 1e-12)
             assert abs(evaluate(BD_INEQ, lams)) < 1e-12
 
-    def test_unordered_amplitudes_rejected(self):
-        with pytest.raises(ValueError):
-            bd_ansatz_state(SPACE, math.sqrt(0.2), math.sqrt(0.5), math.sqrt(0.3))
-        with pytest.raises(ValueError):
-            bd_ansatz_state(SPACE, math.sqrt(0.6), math.sqrt(0.1), math.sqrt(0.3))
-
 
 class TestOutOfSupportWeight:
     def test_weight_split(self):
-        state = FermionState.from_amplitudes(
+        state = make_state(
             SPACE, {det(1, 2, 3): math.sqrt(0.7), det(1, 2, 5): math.sqrt(0.3)})
-        support = np.array([det(1, 2, 3).mask], dtype=np.uint64)
+        support = np.array([det(1, 2, 3)], dtype=np.uint64)
         assert out_of_support_weight(state, support) == pytest.approx(0.3)
