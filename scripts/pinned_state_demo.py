@@ -13,7 +13,7 @@ from qmarginal.fock import ket
 from qmarginal.gpc import catalog, pinning_report, realise
 from qmarginal.selection import natural_frame, verify_pinning_lemma, zero_eigenspace_slaters
 
-# dyadic, so 2 - lam1 - lam2 - lam4 is exactly 0 and the state has no |3,5,6> part
+# dyadic, so every occupation and the facet value 2 - lam1 - lam2 - lam4 = 0 are exact
 PINNED_SPECTRUM = (7 / 8, 3 / 4, 5 / 8, 3 / 8, 1 / 4, 1 / 8)
 
 
@@ -23,7 +23,7 @@ def kets(masks) -> str:
 
 def main() -> int:
     cat = catalog(3, 6)
-    state = realise(PINNED_SPECTRUM, 3, 6)
+    state = realise(PINNED_SPECTRUM)
     space = state.space
 
     frame = natural_frame(state)

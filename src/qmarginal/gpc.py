@@ -211,22 +211,23 @@ def pinning_report(lams: Sequence[float], cat: ConstraintCatalog,
 # Borland-Dennis realiser: a|1,2,3> + b|1,4,5> + c|2,4,6> + delta|3,5,6>; any two
 # of its determinants differ in two orbitals, so its 1-RDM is diagonal
 _BD_LEVELS = np.array([[0, 1, 2], [0, 3, 4], [1, 3, 5], [2, 4, 5]])
+# each squared amplitude is half a signed sum of three occupations in [0, 1] and
+# at most the constant 2, so its rounding error stays below a few eps
+_SQUARE_ROUNDING = 4 * np.finfo(float).eps
 
 
-def realise(lams: Sequence[float], n: int, d: int) -> FermionState:
-    """A state whose decreasing occupations are lams, for a complete setting.
+def realise(lams: Sequence[float]) -> FermionState:
+    """A (3,6) state whose decreasing occupations are lams.
 
-    In (3,6) the squared amplitudes of the four Borland-Dennis determinants are
+    The squared amplitudes of the four Borland-Dennis determinants are
     a^2 = (lam1+lam2-lam4)/2, b^2 = (lam1-lam2+lam4)/2, c^2 = (lam2-lam1+lam4)/2
     and delta^2 = (2-lam1-lam2-lam4)/2 = D/2, D the bd-ineq value (Borland and
-    Dennis, J. Phys. B 5, 7 (1972)).  Refused: a partial catalog, an unsorted
-    lams, an equality residual above EQ_TOL or a square below -EQ_TOL; smaller
-    negative squares are taken as 0.
+    Dennis, J. Phys. B 5, 7 (1972)).  Refused: an unsorted lams, an equality
+    residual above EQ_TOL or a square below -EQ_TOL.  Squares below
+    _SQUARE_ROUNDING are taken as 0, since the square root would turn a rounding
+    error of eps into an amplitude of sqrt(eps).
     """
-    cat = catalog(n, d)
-    # the squares below are those of (3,6), the only complete setting
-    if cat.completeness != "complete":
-        raise ValueError(f"no realiser: the catalog of n={n}, d={d} is partial")
+    cat = catalog(3, 6)
     lams = np.asarray(lams, dtype=float)
     if np.any(np.diff(lams) > 0):
         raise ValueError("occupations must be in decreasing order")
@@ -238,7 +239,7 @@ def realise(lams: Sequence[float], n: int, d: int) -> FermionState:
     squares = np.array([l1 + l2 - l4, l1 - l2 + l4, l2 - l1 + l4, 2.0 - l1 - l2 - l4]) / 2.0
     if squares.min() < -EQ_TOL:
         raise ValueError(f"spectrum outside the polytope: a squared amplitude is {squares.min()!r}")
-    amps = np.sqrt(np.clip(squares, 0.0, None))
-    # the squares sum to 1 up to rounding; clamping can add up to 4 * EQ_TOL
-    return FermionState(OrbitalSpace(d=d, n=n), level_masks(_BD_LEVELS),
+    amps = np.sqrt(np.where(squares > _SQUARE_ROUNDING, squares, 0.0))
+    # the squares sum to 1 up to rounding; zeroing can add up to 4 * EQ_TOL
+    return FermionState(OrbitalSpace(d=6, n=3), level_masks(_BD_LEVELS),
                         amps / np.linalg.norm(amps))

@@ -33,17 +33,19 @@ def make_state(space: OrbitalSpace, amps: dict) -> FermionState:
     return FermionState(space, list(amps), values / np.sqrt(np.sum(np.abs(values) ** 2)))
 
 
-def pinned_spectrum(rng: np.random.Generator) -> np.ndarray:
-    """Decreasing occupations of a random Borland-Dennis state on the bd-ineq facet.
+def pinned_ansatz_state(rng: np.random.Generator) -> FermionState:
+    """A random alpha|1,2,3> + beta|1,4,5> + gamma|2,4,6>, a pinned (3,6) state.
 
-    The squared amplitudes a >= b + c, b >= c of |1,2,3>, |1,4,5>, |2,4,6> are
-    multiples of 2^-20, so every occupation and 2 - lam1 - lam2 - lam4 = 0 are
-    exact in binary and ``realise`` puts no weight on |3,5,6>.
+    Complex amplitudes are drawn until |alpha|^2 >= |beta|^2 + |gamma|^2 and
+    |beta| >= |gamma|, the orderings under which orbitals 1..6 are the natural
+    orbitals in decreasing occupation.
     """
     while True:
-        a, b, c = np.diff([0, *np.sort(rng.integers(0, 2 ** 20, 2)), 2 ** 20]) / 2 ** 20
-        if a >= b + c and b >= c:
-            return np.array([a + b, a + c, a, b + c, b, c])
+        raw = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        alpha, beta, gamma = raw / np.linalg.norm(raw)
+        if abs(alpha) ** 2 >= abs(beta) ** 2 + abs(gamma) ** 2 and abs(beta) >= abs(gamma):
+            return make_state(OrbitalSpace(d=6, n=3),
+                              {det(1, 2, 3): alpha, det(1, 4, 5): beta, det(2, 4, 6): gamma})
 
 
 def random_state(space: OrbitalSpace, rng: np.random.Generator) -> FermionState:

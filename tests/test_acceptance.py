@@ -22,10 +22,11 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from conftest import amplitudes, det, orbitals, pinned_spectrum, random_mixed_density, random_state
+from conftest import (amplitudes, det, orbitals, pinned_ansatz_state, random_mixed_density,
+                      random_state)
 from qmarginal.cli import main as cli_main
 from qmarginal.fock import OrbitalSpace, natural_occupations, one_rdm
-from qmarginal.gpc import catalog, evaluate, realise, truncate_spectrum
+from qmarginal.gpc import catalog, evaluate, truncate_spectrum
 from qmarginal import harmonium
 from qmarginal.harmonium import (HarmoniumParams, expand_in_hermite_basis, ground_state_spec,
                                  quasipinning_scan)
@@ -75,7 +76,7 @@ def test_criterion_03_pinning_lemma_on_ansatz_states():
     rng = np.random.default_rng(77)
     worst_residual, worst_value = 0.0, 0.0
     for _ in range(500):
-        state = realise(pinned_spectrum(rng), 3, 6)
+        state = pinned_ansatz_state(rng)
         rep, = verify_pinning_lemma(natural_frame(state), [BD_INEQ])
         worst_residual = max(worst_residual, rep.residual_norm)
         worst_value = max(worst_value, abs(rep.constraint_value))

@@ -88,7 +88,7 @@ class TestNon:
         lams = np.sort([a + b, a + c, a + e, b + c, b + e, c + e])[::-1]
         with tempfile.TemporaryDirectory() as folder:
             path = os.path.join(folder, "realised.json")
-            write_state_json(realise(lams, 3, 6), path)
+            write_state_json(realise(lams), path)
             code, out = run_cli(["non", path, "--json"])
         assert code == 0
         assert np.max(np.abs(np.array(json.loads(out)["occupations"]) - lams)) <= 1e-14
@@ -196,7 +196,8 @@ class TestSelection:
     def test_ansatz_weight_of_a_rotated_pinned_state(self, tmp_path):
         # the pinned state in a random orbital basis: the ansatz holds in its
         # natural-orbital basis, not in the basis the file is written in
-        state = realise([7 / 8, 3 / 4, 5 / 8, 3 / 8, 1 / 4, 1 / 8], 3, 6)
+        state = make_state(OrbitalSpace(d=6, n=3), {
+            det(1, 2, 3): math.sqrt(0.6), det(1, 4, 5): math.sqrt(0.3), det(2, 4, 6): math.sqrt(0.1)})
         rng = np.random.default_rng(1)
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
         path = tmp_path / "rot.json"

@@ -9,6 +9,7 @@ from conftest import amplitudes, det, random_state
 from qmarginal.fock import OrbitalSpace, natural_occupations, one_rdm, rotate_orbitals
 from qmarginal.gpc import (EQ_TOL, PauliConstraint, catalog, evaluate, pinning_report, realise,
                            truncate_spectrum)
+from qmarginal.selection import natural_frame, verify_pinning_lemma
 
 BD_EXAMPLE = np.array([0.9, 0.7, 0.6, 0.4, 0.3, 0.1])
 
@@ -181,7 +182,7 @@ class TestSufficiency:
         cat = catalog(3, 6)
         for _ in range(25):
             target = self.sample_polytope_point(rng)
-            state = realise(target, 3, 6)
+            state = realise(target)
             lams, _ = natural_occupations(one_rdm(state))
             assert np.max(np.abs(lams - target)) < 1e-8
             report = pinning_report(lams, cat)
@@ -189,49 +190,56 @@ class TestSufficiency:
 
     def test_facet_value_equals_twice_last_weight(self):
         target = np.array([0.9, 0.8, 0.75, 0.25, 0.2, 0.1])
-        state = realise(target, 3, 6)
+        state = realise(target)
         weight = abs(amplitudes(state)[det(3, 5, 6)]) ** 2
         value = evaluate(catalog(3, 6).by_label("bd-ineq"), target)
         assert abs(value - 2.0 * weight) < 1e-12
 
 
 class TestRealise:
-    @pytest.mark.parametrize("n,d", [(3, 7), (1, 5), (2, 4)])
-    def test_partial_catalog_refused(self, n, d):
-        lams = np.zeros(d)
-        lams[:n] = 1.0
-        with pytest.raises(ValueError, match=f"^no realiser: the catalog of n={n}, d={d} "):
-            realise(lams, n, d)
-
     def test_unsorted_spectrum_refused(self):
         # a pure-state spectrum in the wrong order: the equalities and the
         # squares alone would accept it
         with pytest.raises(ValueError, match="decreasing"):
-            realise([0.7, 0.9, 0.6, 0.4, 0.1, 0.3], 3, 6)
+            realise([0.7, 0.9, 0.6, 0.4, 0.1, 0.3])
 
     def test_facet_below_tolerance_refused(self):
         with pytest.raises(ValueError, match="outside the polytope"):
-            realise(bd_spectrum(-1e-5), 3, 6)
+            realise(bd_spectrum(-1e-5))
 
     def test_small_negative_square_clamped(self):
-        state = realise(bd_spectrum(-1e-7), 3, 6)
+        state = realise(bd_spectrum(-1e-7))
         assert amplitudes(state)[det(3, 5, 6)] == 0
         assert abs(np.linalg.norm(state.amps) - 1.0) < 1e-15
+
+    def test_rounding_level_facet_value_taken_as_zero(self):
+        # in binary 2 - 0.9 - 0.7 - 0.4 is 1.1e-16, not 0; the square root of
+        # its half, 7.45e-9, must not land on |3,5,6>
+        assert 0 < 2.0 - 0.9 - 0.7 - 0.4 < 1e-15
+        state = realise(BD_EXAMPLE)
+        assert amplitudes(state)[det(3, 5, 6)] == 0
+        rep, = verify_pinning_lemma(natural_frame(state), [catalog(3, 6).by_label("bd-ineq")])
+        assert rep.residual_norm < 1e-12
+        assert abs(rep.constraint_value) < 1e-12
+
+    def test_smallest_facet_value_kept(self):
+        state = realise(bd_spectrum(1e-14))
+        assert abs(amplitudes(state)[det(3, 5, 6)]) ** 2 == pytest.approx(5e-15, rel=1e-2)
 
     def test_equality_residual_refused(self):
         lams = BD_EXAMPLE + np.array([1e-5, -1e-5, 0, 0, 0, 0])
         assert evaluate(catalog(3, 6).by_label("norm"), lams) == pytest.approx(0, abs=1e-15)
         with pytest.raises(ValueError, match="^bd-eq1 residual .* exceeds 1e-06$"):
-            realise(lams, 3, 6)
+            realise(lams)
         # a residual within EQ_TOL is accepted
-        realise(BD_EXAMPLE + np.array([EQ_TOL / 2, -EQ_TOL / 2, 0, 0, 0, 0]), 3, 6)
+        realise(BD_EXAMPLE + np.array([EQ_TOL / 2, -EQ_TOL / 2, 0, 0, 0, 0]))
 
     def test_wrong_length_refused(self):
         with pytest.raises(ValueError, match="length-5"):
-            realise(BD_EXAMPLE[:5], 3, 6)
+            realise(BD_EXAMPLE[:5])
 
     def test_determinants_and_squares(self):
-        state = realise([7 / 8, 3 / 4, 5 / 8, 3 / 8, 1 / 4, 1 / 8], 3, 6)
+        state = realise([7 / 8, 3 / 4, 5 / 8, 3 / 8, 1 / 4, 1 / 8])
         assert amplitudes(state) == pytest.approx(
             {det(1, 2, 3): math.sqrt(5 / 8), det(1, 4, 5): 0.5, det(2, 4, 6): math.sqrt(1 / 8),
              det(3, 5, 6): 0.0}, abs=1e-16)
@@ -240,7 +248,7 @@ class TestRealise:
     def test_facet_value_survives_haar_rotations(self, facet_value):
         # the realised state has D = 2 delta^2; rotated by complex Haar
         # unitaries, the natural occupations must give it back
-        state = realise(bd_spectrum(facet_value), 3, 6)
+        state = realise(bd_spectrum(facet_value))
         bd = catalog(3, 6).by_label("bd-ineq")
         rng = np.random.default_rng(36)
         for _ in range(20):

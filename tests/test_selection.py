@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import amplitudes, det, make_state, orbitals, pinned_spectrum, random_state
+from conftest import amplitudes, det, make_state, orbitals, pinned_ansatz_state, random_state
 from qmarginal.fock import FermionState, OrbitalSpace, natural_occupations, one_rdm, slater_masks
-from qmarginal.gpc import PauliConstraint, catalog, evaluate, pinning_report, realise
+from qmarginal.gpc import PauliConstraint, catalog, evaluate, pinning_report
 from qmarginal.selection import (natural_frame, out_of_support_weight, verify_pinning_lemma,
                                  zero_eigenspace_slaters)
 
@@ -17,8 +17,7 @@ BD_INEQ = CAT.by_label("bd-ineq")
 EIGHT = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 5), (2, 3, 6), (2, 4, 6),
          (3, 5, 6), (4, 5, 6)]
 THREE = [(1, 2, 3), (1, 4, 5), (2, 4, 6)]
-# exact in binary: the realised state lies in the span of THREE
-PINNED = (7 / 8, 3 / 4, 5 / 8, 3 / 8, 1 / 4, 1 / 8)
+PINNED = {det(1, 2, 3): math.sqrt(0.6), det(1, 4, 5): math.sqrt(0.3), det(2, 4, 6): math.sqrt(0.1)}
 
 
 def slater_value(constraint, mask: int) -> int:
@@ -122,7 +121,7 @@ class TestAnsatzFromReport:
 
 class TestPinningLemma:
     def test_pinned_three_determinant_state(self):
-        state = realise(PINNED, 3, 6)
+        state = make_state(SPACE, PINNED)
         report = lemma(state, BD_INEQ)
         assert abs(report.constraint_value) < 1e-12
         assert report.residual_norm < 1e-12
@@ -144,20 +143,20 @@ class TestPinningLemma:
         assert not report.pinned
 
     def test_residual_bound_scales_with_tol(self):
-        state = realise(PINNED, 3, 6)
+        state = make_state(SPACE, PINNED)
         report = lemma(state, BD_INEQ, tol=1e-4)
         assert report.residual_bound == pytest.approx(2 * 1e-4)  # spectral radius 2
 
     @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
     def test_tolerance_must_be_finite_and_non_negative(self, tol):
-        state = realise(PINNED, 3, 6)
+        state = make_state(SPACE, PINNED)
         with pytest.raises(ValueError, match=rf"^tol must be a finite number >= 0, got {tol!r}$"):
             verify_pinning_lemma(natural_frame(state), [BD_INEQ], tol=tol)
 
     def test_lemma_over_pinned_ensemble(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
-            report = lemma(realise(pinned_spectrum(rng), 3, 6), BD_INEQ)
+            report = lemma(pinned_ansatz_state(rng), BD_INEQ)
             if report.degenerate:
                 continue
             assert report.residual_norm < 1e-10
@@ -167,7 +166,8 @@ class TestPinningLemma:
     @pytest.mark.parametrize("make", ["bd", "haar", "single"])
     def test_list_form_equals_one_constraint_calls(self, make):
         if make == "bd":
-            state = realise(PINNED, 3, 6)
+            state = make_state(SPACE, {det(1, 2, 3): 0.8 + 0.1j, det(1, 4, 5): 0.45 - 0.2j,
+                                       det(2, 4, 6): 0.2j})
         elif make == "haar":
             state = random_state(SPACE, np.random.default_rng(5))
         else:
@@ -203,8 +203,7 @@ class TestAnsatzConverse:
     def test_random_ordered_amplitudes_land_on_facet(self):
         rng = np.random.default_rng(9)
         for _ in range(100):
-            state = realise(pinned_spectrum(rng), 3, 6)
-            assert orbital_sets(state.masks[state.amps != 0]) == sorted(THREE)
+            state = pinned_ansatz_state(rng)
             lams, _ = natural_occupations(one_rdm(state))
             assert np.all(np.diff(lams) <= 1e-12)
             assert abs(evaluate(BD_INEQ, lams)) < 1e-12
