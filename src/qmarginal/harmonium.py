@@ -17,12 +17,14 @@ determinant).  Writing the Vandermonde factor as a determinant and the
 centre-of-mass Gaussian as a Gaussian integral over one variable v makes the
 projection a one-variable sum of single determinants, c_K ~ sum_v w_v
 det M(v)[K, :], where M(v) is the d x N matrix of one-particle integrals (see
-expand_in_hermite_basis).  Both the x-integrals in M and the v-sum are
-Gauss-Hermite rules whose node counts make them exact for the
-polynomial-times-Gaussian integrands.  The rule is the Golub-Welsch
-construction from the Jacobi matrix of the Hermite recurrence, with weights
-from the oscillator eigenfunctions themselves (see _gh_nodes), so the module
-needs numpy alone.
+expand_in_hermite_basis).  A Laplace expansion along the first N//2
+columns of M turns that v-sum, for every determinant at once, into one matrix
+product of the minors of the two column blocks.  Both the x-integrals in M
+and the v-sum are Gauss-Hermite rules whose node counts make them exact for
+the polynomial-times-Gaussian integrands.  Their nodes are Newton roots of
+the Hermite recurrence and their weights come from the oscillator
+eigenfunctions themselves (see _gh_nodes), so the module needs numpy alone
+and no LAPACK routine.
 """
 from __future__ import annotations
 
@@ -44,13 +46,18 @@ DEFICIT_TOL = 1e-6
 # 64), 45.6 at N=3 (basis 64) and 15.7 at N=4 (basis 49, the cost limit), so
 # this bound refuses no kappa that any admitted basis can hold
 KAPPA_MAX = 1e3
-# multiply-adds of the Leibniz sums: admits N=3 up to d=64 (3.6e7) and N=4 up
-# to d=49 (9.9e8; a cold d=48 or d=49 point takes 0.5-0.7 s on 2 Xeon vCPUs),
-# rejects N=4 from d=50 (1.1e9) before any quadrature node is evaluated
-MAX_EXPANSION_COST = 10 ** 9
-_DET_BLOCK = 1 << 16  # (determinant, v-node) entries per block of the Leibniz sums
+# multiply-adds |A|*|B|*g of the Laplace product (see _laplace_sums): admits
+# N=3 up to d=64 (1.2e7) and N=4 up to d=49 (1.34e8; a cold d=48 or d=49
+# point takes 0.16-0.18 s on 2 Xeon vCPUs), rejects N=4 from d=50 (1.49e8)
+# before any quadrature node is evaluated
+MAX_EXPANSION_COST = 14 * 10 ** 7
+# Newton steps per root of _gh_nodes: from the gauher guesses no g <= 160
+# needs more than 9
+_NEWTON_STEPS = 20
+_NEWTON_TOL = 3e-14
 # a scan's kappas: below 0.01 D sits at the precision floor; a warm d=28
-# point takes 4-6 ms on 2 Xeon vCPUs, and the longest scan (1000 kappas) 4-6 s
+# point takes 4.3-5.6 ms on 2 Xeon vCPUs, and the longest scan (1000 kappas)
+# about 5 s
 SCAN_RANGE = (0.01, 0.5)
 MAX_SCAN_POINTS = 1000
 # quadrature and Jacobi rotations resolve occupations to a few eps in
@@ -96,18 +103,48 @@ def node_count(n: int, basis_size: int) -> int:
     return n * (basis_size - 1) // 2 + 1
 
 
+def _newton_step(g: int, z: float) -> float:
+    """Newton step p_g(z) / p_g'(z) on the polynomial part p_g = phi_g *
+    exp(z^2/2) * pi^(1/4) of the oscillator eigenfunction, whose roots are
+    phi_g's: p_g from the orthonormal recurrence, p_g' = sqrt(2g) p_{g-1}."""
+    below, here = 0.0, 1.0
+    for k in range(1, g + 1):
+        below, here = here, math.sqrt(2.0 / k) * z * here - math.sqrt((k - 1) / k) * below
+    return here / (math.sqrt(2.0 * g) * below)
+
+
 @functools.lru_cache(maxsize=None)
 def _gh_nodes(g: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and Gaussian-free weights w*exp(t^2) of the g-point Gauss-Hermite rule.
 
-    Golub-Welsch (Math. Comp. 23, 221 (1969)): the nodes are the eigenvalues
-    of the Jacobi matrix of the Hermite recurrence, refined by one Newton step
-    on phi_g and symmetrized, and the weight of a node is the Christoffel
-    function 1 / sum_k phi_k(t)^2 of the oscillator eigenfunctions, which
-    carries no Gaussian factor.  Cached per g; the arrays are read-only.
+    The nonnegative roots of phi_g are found largest first by scalar Newton
+    steps on the Hermite recurrence, each started from the asymptotic guess
+    of gauher (Press et al., Numerical Recipes, 2nd ed., sec. 4.5), and
+    mirrored; all nodes then take one more Newton step on phi_g and are
+    symmetrized.  The weight of a node is the Christoffel function
+    1 / sum_k phi_k(t)^2 of the oscillator eigenfunctions, which carries no
+    Gaussian factor.  Cached per g; the arrays are read-only.
     """
-    off = np.sqrt(np.arange(1, g) / 2.0)
-    t = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    roots: list[float] = []
+    for i in range((g + 1) // 2):
+        if i == 0:
+            z = math.sqrt(2.0 * g + 1.0) - 1.85575 * (2.0 * g + 1.0) ** -0.16667
+        elif i == 1:
+            z -= 1.14 * g ** 0.426 / z
+        elif i == 2:
+            z = 1.86 * z - 0.86 * roots[0]
+        elif i == 3:
+            z = 1.91 * z - 0.91 * roots[1]
+        else:
+            z = 2.0 * z - roots[i - 2]
+        for _ in range(_NEWTON_STEPS):
+            step = _newton_step(g, z)
+            z -= step
+            if abs(step) <= _NEWTON_TOL:
+                break
+        roots.append(z)
+    half = np.array(roots)
+    t = np.concatenate([-half, half[::-1][g % 2:]])
     phi = hermite_functions(g + 1, t)
     t = t - phi[g] / (math.sqrt(2.0 * g) * phi[g - 1])
     t = (t - t[::-1]) / 2.0
@@ -149,32 +186,11 @@ def ground_state_spec(params: HarmoniumParams) -> GroundStateSpec:
                            c0=1.0 / math.sqrt(norm_sq), c1=c1, c2=c2)
 
 
-def expand_in_hermite_basis(params: HarmoniumParams, basis_size: int = DEFAULT_BASIS_SIZE
-                            ) -> tuple[FermionState, float]:
-    """Wedge amplitudes over the parity-allowed frequency-1 Hermite determinants.
-
-    Returns the normalized state and the norm deficit 1 - |c|^2 measuring the
-    weight outside the truncated basis.  The quadrature is exact for the
-    polynomial-times-Gaussian integrands, so the deficit is a pure basis
-    truncation measurement.  The state holds only the determinants whose
-    levels have the parity of n(n-1)/2; every other amplitude vanishes.
-    """
-    n = params.n
-    if not 1 <= basis_size <= MAX_ORBITALS:
-        raise ValueError(f"basis_size must lie in [1, {MAX_ORBITALS}], got {basis_size}")
-    if basis_size < n:
-        raise ValueError(f"basis_size {basis_size} smaller than particle number {n}")
-    g = node_count(n, basis_size)
-    perms = list(itertools.permutations(range(n)))
-    # multiply-adds of the Leibniz sums: n! products of n factors per
-    # determinant and v-node, over the half of the determinants formed below
-    cost = g * (math.comb(basis_size, n) // 2) * len(perms) * n
-    if cost > MAX_EXPANSION_COST:
-        raise ValueError(f"the expansion at n={n}, basis_size={basis_size} with {g} nodes "
-                         f"needs about {cost:.1e} multiply-adds, above the limit of "
-                         f"{MAX_EXPANSION_COST:.0e}; use a smaller basis")
-    spec = ground_state_spec(params)
-
+def _row_integrals(spec: GroundStateSpec, basis_size: int, g: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """M(v) at the g nodes of the v-rule, shape (n, d, g) with m[j][k] = M(v)[k, j],
+    and the v-rule's weights, scaled so that c_K ~ sum_v w_v det M(v)[K, :]."""
+    n = spec.n
     # Psi = c0 * (-1)^(n(n-1)/2) * det[x_i^j] * exp(beta*S^2 - c2*x.x) with
     # beta = -c1 and S = sum x.  exp(beta*S^2) = int exp(-v^2 + 2*sqrt(beta)*v*S)
     # dv / sqrt(pi) factorises the Gaussian over the particles, so the
@@ -197,27 +213,86 @@ def expand_in_hermite_basis(params: HarmoniumParams, basis_size: int = DEFAULT_B
     fx = (wt / math.sqrt(p)) * np.exp(0.5 * x * x - t * t - (u * u / n)[:, None])
     phi = hermite_functions(basis_size, x.ravel()).reshape(basis_size, g, -1) * fx
     m = np.stack([(phi * x ** j).sum(axis=-1) for j in range(n)])        # (n, d, g)
-    wv = wu * math.sqrt(p)
+    return m, wu * math.sqrt(p)
 
+
+def _minors(cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """det M(v)[B, cols] for each row B of a table of ascending levels, shape
+    (len(rows), g), from the (d, g) slices of one or two columns of M."""
+    if len(cols) == 1:
+        return cols[0][rows[:, 0]]
+    a, b = rows.T
+    return cols[0][a] * cols[1][b] - cols[0][b] * cols[1][a]
+
+
+def _subset_rank(rows: np.ndarray, d: int) -> np.ndarray:
+    """Dense (d,) * r table of each r-subset's row in a level_table(d, r)."""
+    rank = np.zeros((d,) * rows.shape[1], dtype=np.intp)
+    rank[tuple(rows.T)] = np.arange(rows.shape[0])
+    return rank
+
+
+def _laplace_sums(m: np.ndarray, wv: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """sum_v w_v det M(v)[K, :] for each row K of levels.
+
+    Laplace expansion along the first h = n//2 columns: det M(v)[K, :] is the
+    sum over the h-subsets S of positions in K of (-1)^(sum(S) - h(h-1)/2)
+    det M(v)[K_S, :h] det M(v)[K_rest, h:].  The minors of the two column
+    blocks over every ascending subset of levels turn the whole v-sum into one
+    matrix product, and each determinant adds C(n, h) signed entries of it.
+    """
+    n, d, _ = m.shape
+    h = n // 2
+    left_rows, right_rows = level_table(d, h), level_table(d, n - h)
+    # both factors C-ordered: the plain dgemm that linalg._blocks runs too, so
+    # no further BLAS packing routine is paged in
+    right = np.ascontiguousarray(_minors(m[h:], right_rows).T)
+    prod = (_minors(m[:h], left_rows) * wv) @ right
+    left_rank, right_rank = _subset_rank(left_rows, d), _subset_rank(right_rows, d)
+    sums = np.zeros(levels.shape[0])
+    for pos in itertools.combinations(range(n), h):
+        rest = [i for i in range(n) if i not in pos]
+        term = prod[left_rank[tuple(levels[:, pos].T)], right_rank[tuple(levels[:, rest].T)]]
+        if (sum(pos) - h * (h - 1) // 2) % 2:
+            sums -= term
+        else:
+            sums += term
+    return sums
+
+
+def expand_in_hermite_basis(params: HarmoniumParams, basis_size: int = DEFAULT_BASIS_SIZE
+                            ) -> tuple[FermionState, float]:
+    """Wedge amplitudes over the parity-allowed frequency-1 Hermite determinants.
+
+    Returns the normalized state and the norm deficit 1 - |c|^2 measuring the
+    weight outside the truncated basis.  The quadrature is exact for the
+    polynomial-times-Gaussian integrands, so the deficit is a pure basis
+    truncation measurement.  The state holds only the determinants whose
+    levels have the parity of n(n-1)/2; every other amplitude vanishes.
+    """
+    n = params.n
+    if not 1 <= basis_size <= MAX_ORBITALS:
+        raise ValueError(f"basis_size must lie in [1, {MAX_ORBITALS}], got {basis_size}")
+    if basis_size < n:
+        raise ValueError(f"basis_size {basis_size} smaller than particle number {n}")
+    g = node_count(n, basis_size)
+    h = n // 2
+    cost = math.comb(basis_size, h) * math.comb(basis_size, n - h) * g
+    if cost > MAX_EXPANSION_COST:
+        raise ValueError(f"the expansion at n={n}, basis_size={basis_size} with {g} nodes "
+                         f"needs about {cost:.1e} multiply-adds, above the limit of "
+                         f"{MAX_EXPANSION_COST:.1e}; use a smaller basis")
+    spec = ground_state_spec(params)
+
+    m, wv = _row_integrals(spec, basis_size, g)
     # Psi(-x) = (-1)^(n(n-1)/2) Psi(x) and phi_l(-x) = (-1)^l phi_l(x), so only
     # determinants whose levels sum to the parity of n(n-1)/2 can be nonzero.
     # Only those are formed and stored, so rho's two parity blocks stay exact
     # for one_rdm and jacobi_eigh
     levels = level_table(basis_size, n)
     levels = levels[levels.sum(axis=1) % 2 == n * (n - 1) // 2 % 2]
-    signs = [(-1) ** sum(i > j for i, j in itertools.combinations(perm, 2)) for perm in perms]
-    scale = (-1) ** (n * (n - 1) // 2) * spec.c0 * math.sqrt(math.factorial(n) / math.pi)
-    amplitudes = np.empty(levels.shape[0])
-    step = max(1, _DET_BLOCK // g)
-    for start in range(0, levels.shape[0], step):
-        block = levels[start:start + step]
-        dets = np.zeros((block.shape[0], g))
-        for sign, perm in zip(signs, perms):  # Leibniz: det = sum of signed products
-            term = m[perm[0]][block[:, 0]]
-            for i in range(1, n):
-                term *= m[perm[i]][block[:, i]]
-            dets += sign * term
-        amplitudes[start:start + step] = scale * (dets * wv).sum(axis=1)
+    amplitudes = _laplace_sums(m, wv, levels)
+    amplitudes *= (-1) ** (n * (n - 1) // 2) * spec.c0 * math.sqrt(math.factorial(n) / math.pi)
 
     # np.add.accumulate adds in sequence like a plain loop; np.sum's pairwise
     # order would move the last digits of every amplitude

@@ -358,8 +358,8 @@ class TestHarmonium:
         (["--kappa", "0.3", "--n", "4", "--basis", "3"],
          "basis_size 3 smaller than particle number 4"),
         (["--kappa", "0.3", "--n", "4", "--basis", "50"],
-         "the expansion at n=4, basis_size=50 with 99 nodes needs about 1.1e+09 "
-         "multiply-adds, above the limit of 1e+09; use a smaller basis"),
+         "the expansion at n=4, basis_size=50 with 99 nodes needs about 1.5e+08 "
+         "multiply-adds, above the limit of 1.4e+08; use a smaller basis"),
         (["--kappa", "nan"], "kappa must be finite, got nan"),
         (["--kappa=-1"], "attractive regime kappa < 0 is not supported"),
         (["--kappa", "1e300"], "kappa=1e+300 above 1000: no basis of at most 64 orbitals "

@@ -276,12 +276,20 @@ class TestExpansion:
         assert harmonium.node_count(3, 28) == 41
         assert harmonium.node_count(4, 28) == 55
 
-    def test_cost_guard(self, monkeypatch):
-        # N=4 at d=64 needs ~3.9e9 multiply-adds: rejected before any work,
+    @pytest.mark.parametrize("basis", [50, 64])
+    def test_cost_guard(self, basis, monkeypatch):
+        # the Laplace product at N=4 needs C(d,2)^2 * g multiply-adds: 1.5e8
+        # at d=50 and 5.2e8 at d=64, rejected before any work,
         # ground_state_spec included
         monkeypatch.setattr(harmonium, "ground_state_spec", None)
-        with pytest.raises(ValueError, match="multiply-adds"):
-            expand_in_hermite_basis(HarmoniumParams(n=4, kappa=0.25), 64)
+        with pytest.raises(ValueError, match=r"multiply-adds, above the limit of 1\.4e\+08;"):
+            expand_in_hermite_basis(HarmoniumParams(n=4, kappa=0.25), basis)
+
+    def test_cost_guard_admits_the_largest_n4_basis(self):
+        # d=49 needs 1176^2 * 97 = 1.34e8 multiply-adds, under the limit
+        assert math.comb(49, 2) ** 2 * harmonium.node_count(4, 49) < harmonium.MAX_EXPANSION_COST
+        state, deficit = expand_in_hermite_basis(HarmoniumParams(n=4, kappa=0.25), 49)
+        assert state.space.d == 49 and abs(deficit) <= harmonium.DEFICIT_TOL
 
     def test_norm_above_one_rejected(self, monkeypatch):
         # doubled weights scale the sums of each amplitude by 2^(n+1), so
@@ -353,15 +361,6 @@ class TestExpansion:
         state, _ = expand_in_hermite_basis(params, basis)
         assert_matches_oracle(state, full_tensor_amplitudes(params, basis), n, 1e-13, 1e-13)
 
-    def test_determinant_blocks_change_nothing(self, monkeypatch):
-        # each amplitude is formed from its own row, whatever the block
-        params = HarmoniumParams(n=4, kappa=0.2)
-        whole, deficit_whole = expand_in_hermite_basis(params, 10)
-        monkeypatch.setattr(harmonium, "_DET_BLOCK", 77)  # 4 determinants a block, the last ragged
-        blocked, deficit_blocked = expand_in_hermite_basis(params, 10)
-        assert np.array_equal(whole.amps, blocked.amps)
-        assert deficit_whole == deficit_blocked
-
     def test_wavefunction_antisymmetry(self):
         spec = ground_state_spec(HarmoniumParams(n=3, kappa=0.2))
         rng = np.random.default_rng(0)
@@ -417,14 +416,26 @@ class TestGaussHermiteRule:
                 moment = mpmath.fsum(term * sq ** k for term, sq in zip(terms, squares))
                 assert abs(float(moment / mpmath.gamma(k + mpmath.mpf(0.5)) - 1)) < 1e-14
 
-    @pytest.mark.parametrize("g", [1, 2, 19, 43, 130])
+    @pytest.mark.parametrize("g", range(1, 131))
     def test_matches_scipy_rule(self, g):
-        # a second oracle; its own Gaussian-free weights are off by up to
-        # 1.3e-12 relative at g = 130 against the 40-digit rule
+        # a second oracle, over every v-rule and x-rule the cost limit admits
+        # (the v-rule reaches g = 97 at N=4, d=49); its own Gaussian-free
+        # weights are off by up to 1.3e-12 relative at g = 130 against the
+        # 40-digit rule
         t_ref, w_ref = roots_hermite(g)
         t, w = harmonium._gh_nodes(g)
         assert np.max(np.abs(t - t_ref)) < 4e-15
         assert np.max(np.abs(w / np.exp(np.log(w_ref) + t_ref * t_ref) - 1)) < 3e-12
+
+    def test_harmonium_point_needs_no_lapack_eigensolver(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("LAPACK eigensolver called")
+
+        harmonium._gh_nodes.cache_clear()
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        point = harmonium.point(1.0 / 3.0)
+        assert abs(point.d_value - 5.9112099659586193e-09) <= 1e-15
 
     def test_cached_and_read_only(self):
         t, w = harmonium._gh_nodes(19)
@@ -707,7 +718,8 @@ def mpmath_amplitudes(n, kappa, d_basis, dps=34):
 
 
 class TestHighPrecisionOracle:
-    @pytest.mark.parametrize("n,kappa,basis", [(3, 1.0 / 3.0, 10), (3, 0.2, 10), (2, 0.25, 12)])
+    @pytest.mark.parametrize("n,kappa,basis", [(3, 1.0 / 3.0, 10), (3, 0.2, 10), (2, 0.25, 12),
+                                               (4, 0.15, 9)])
     def test_folded_amplitudes_match_34_digit_oracle(self, n, kappa, basis):
         state, _ = expand_in_hermite_basis(HarmoniumParams(n=n, kappa=kappa), basis)
         assert_matches_oracle(state, mpmath_amplitudes(n, kappa, basis), n, 1e-14, 1e-30)
