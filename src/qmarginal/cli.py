@@ -75,11 +75,6 @@ def _parse_setting(text: str) -> tuple[int, int]:
     return n, d
 
 
-def _check_pin_tol(value: float) -> None:
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"--pin-tol must be a finite number >= 0, got {value!r}")
-
-
 def _emit(out, text: str) -> None:
     out.write(text)
     if not text.endswith("\n"):
@@ -141,7 +136,8 @@ def cmd_non(args, out) -> int:
 def cmd_gpc(args, out) -> int:
     if (args.non is None) == (args.state is None):
         raise ValueError("provide exactly one of --non or --state")
-    _check_pin_tol(args.pin_tol)
+    if not (math.isfinite(args.pin_tol) and args.pin_tol >= 0):
+        raise ValueError(f"--pin-tol must be a finite number >= 0, got {args.pin_tol!r}")
     if args.non is not None:
         lams = np.array([float(v) for v in args.non.split(",")])
         if not np.all(np.isfinite(lams)):
@@ -233,7 +229,6 @@ def cmd_harmonium(args, out) -> int:
 
 
 def cmd_selection(args, out) -> int:
-    _check_pin_tol(args.pin_tol)
     n, d = _parse_setting(args.setting)
     space = fock.OrbitalSpace(d=d, n=n)
     cat = gpc.catalog(n, d)
@@ -252,7 +247,7 @@ def cmd_selection(args, out) -> int:
             raise ValueError("state file does not match --setting")
         # the lemma and the ansatz weight both hold in the natural-orbital basis
         frame = selection.natural_frame(state)
-        reports = selection.verify_pinning_lemma(frame, constraints, tol=args.pin_tol)
+        reports = selection.verify_pinning_lemma(frame, constraints)
         lemma_rows = [{"label": c.label, "constraint_value": rep.constraint_value,
                        "residual_norm": rep.residual_norm, "degenerate": rep.degenerate}
                       for c, rep in zip(constraints, reports)]
@@ -382,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--saturated", required=True,
                    help="comma-separated constraint labels, or 'none'")
     p.add_argument("--state", help="optional state file for residual checks")
-    p.add_argument("--pin-tol", type=float, default=gpc.DEFAULT_PIN_TOL)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_selection)
 

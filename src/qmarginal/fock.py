@@ -86,8 +86,8 @@ def level_masks(levels: np.ndarray) -> np.ndarray:
 
 def occupied(masks, d: int) -> np.ndarray:
     """Boolean (len(masks), d) table: entry [i, k] says whether masks[i] fills orbital k+1."""
-    bits = np.left_shift(np.uint64(1), np.arange(d, dtype=np.uint64))
-    return (np.asarray(masks, dtype=np.uint64)[:, None] & bits) != 0
+    octets = np.ascontiguousarray(masks, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1, count=d, bitorder="little").view(bool)
 
 
 def levels(masks, d: int, n: int) -> np.ndarray:

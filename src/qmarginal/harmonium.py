@@ -21,10 +21,10 @@ expand_in_hermite_basis).  A Laplace expansion along the first N//2
 columns of M turns that v-sum, for every determinant at once, into one matrix
 product of the minors of the two column blocks.  Both the x-integrals in M
 and the v-sum are Gauss-Hermite rules whose node counts make them exact for
-the polynomial-times-Gaussian integrands.  Their nodes are Newton roots of
-the Hermite recurrence and their weights come from the oscillator
-eigenfunctions themselves (see _gh_nodes), so the module needs numpy alone
-and no LAPACK routine.
+the polynomial-times-Gaussian integrands.  The rules are the Golub-Welsch
+construction from the Jacobi matrix of the Hermite recurrence, with weights
+from the oscillator eigenfunctions themselves (see _gh_nodes), so the module
+needs numpy alone.
 """
 from __future__ import annotations
 
@@ -51,10 +51,6 @@ KAPPA_MAX = 1e3
 # point takes 0.16-0.18 s on 2 Xeon vCPUs), rejects N=4 from d=50 (1.49e8)
 # before any quadrature node is evaluated
 MAX_EXPANSION_COST = 14 * 10 ** 7
-# Newton steps per root of _gh_nodes: from the gauher guesses no g <= 160
-# needs more than 9
-_NEWTON_STEPS = 20
-_NEWTON_TOL = 3e-14
 # a scan's kappas: below 0.01 D sits at the precision floor; a warm d=28
 # point takes 4.3-5.6 ms on 2 Xeon vCPUs, and the longest scan (1000 kappas)
 # about 5 s
@@ -103,48 +99,18 @@ def node_count(n: int, basis_size: int) -> int:
     return n * (basis_size - 1) // 2 + 1
 
 
-def _newton_step(g: int, z: float) -> float:
-    """Newton step p_g(z) / p_g'(z) on the polynomial part p_g = phi_g *
-    exp(z^2/2) * pi^(1/4) of the oscillator eigenfunction, whose roots are
-    phi_g's: p_g from the orthonormal recurrence, p_g' = sqrt(2g) p_{g-1}."""
-    below, here = 0.0, 1.0
-    for k in range(1, g + 1):
-        below, here = here, math.sqrt(2.0 / k) * z * here - math.sqrt((k - 1) / k) * below
-    return here / (math.sqrt(2.0 * g) * below)
-
-
 @functools.lru_cache(maxsize=None)
 def _gh_nodes(g: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and Gaussian-free weights w*exp(t^2) of the g-point Gauss-Hermite rule.
 
-    The nonnegative roots of phi_g are found largest first by scalar Newton
-    steps on the Hermite recurrence, each started from the asymptotic guess
-    of gauher (Press et al., Numerical Recipes, 2nd ed., sec. 4.5), and
-    mirrored; all nodes then take one more Newton step on phi_g and are
-    symmetrized.  The weight of a node is the Christoffel function
-    1 / sum_k phi_k(t)^2 of the oscillator eigenfunctions, which carries no
-    Gaussian factor.  Cached per g; the arrays are read-only.
+    Golub-Welsch (Math. Comp. 23, 221 (1969)): the nodes are the eigenvalues
+    of the Jacobi matrix of the Hermite recurrence, refined by one Newton step
+    on phi_g and symmetrized, and the weight of a node is the Christoffel
+    function 1 / sum_k phi_k(t)^2 of the oscillator eigenfunctions, which
+    carries no Gaussian factor.  Cached per g; the arrays are read-only.
     """
-    roots: list[float] = []
-    for i in range((g + 1) // 2):
-        if i == 0:
-            z = math.sqrt(2.0 * g + 1.0) - 1.85575 * (2.0 * g + 1.0) ** -0.16667
-        elif i == 1:
-            z -= 1.14 * g ** 0.426 / z
-        elif i == 2:
-            z = 1.86 * z - 0.86 * roots[0]
-        elif i == 3:
-            z = 1.91 * z - 0.91 * roots[1]
-        else:
-            z = 2.0 * z - roots[i - 2]
-        for _ in range(_NEWTON_STEPS):
-            step = _newton_step(g, z)
-            z -= step
-            if abs(step) <= _NEWTON_TOL:
-                break
-        roots.append(z)
-    half = np.array(roots)
-    t = np.concatenate([-half, half[::-1][g % 2:]])
+    off = np.sqrt(np.arange(1, g) / 2.0)
+    t = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
     phi = hermite_functions(g + 1, t)
     t = t - phi[g] / (math.sqrt(2.0 * g) * phi[g - 1])
     t = (t - t[::-1]) / 2.0

@@ -60,8 +60,6 @@ def out_of_support_weight(state: FermionState, support: np.ndarray) -> float:
 class PinningLemmaReport:
     constraint_value: float      # value on the sorted occupation spectrum
     residual_norm: float         # ||D_hat psi|| in the natural-orbital basis
-    residual_bound: float        # spectral radius of D_hat times tol
-    pinned: bool                 # constraint_value <= tol
     degenerate: bool             # NO basis ambiguous across constraint coefficients
 
 
@@ -71,7 +69,7 @@ def natural_frame(state: FermionState) -> tuple[np.ndarray, FermionState]:
     return lams, rotate_orbitals(state, orbitals.conj().T)
 
 
-def verify_pinning_lemma(frame, constraints, tol: float = 1e-8) -> list[PinningLemmaReport]:
+def verify_pinning_lemma(frame, constraints) -> list[PinningLemmaReport]:
     """Check, per constraint, that pinning of the occupations kills the operator residual.
 
     ``frame`` is the pair natural_frame(state): the occupations and the state
@@ -79,10 +77,8 @@ def verify_pinning_lemma(frame, constraints, tol: float = 1e-8) -> list[PinningL
     unequal constraint coefficients the natural-orbital basis is not unique
     and that check is reported as skipped rather than asserted.
     """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     lams, rotated = frame
-    d, n = rotated.space.d, rotated.space.n
+    d = rotated.space.d
     constraints = _check_dims(constraints, d)
     # blocks of occupations within DEGENERACY_GAP of the block's first one
     blocks, start = [], 0
@@ -94,12 +90,7 @@ def verify_pinning_lemma(frame, constraints, tol: float = 1e-8) -> list[PinningL
     residual_sq = (values ** 2 * np.abs(rotated.amps) ** 2).sum(axis=1)
     reports = []
     for c, res_sq in zip(constraints, residual_sq.tolist()):
-        value = evaluate(c, lams)
-        # the operator's extreme eigenvalues fill the n smallest or n largest kappas
-        kappas = sorted(c.kappas)
-        spectral_radius = max(abs(c.kappa0 + sum(kappas[:n])), abs(c.kappa0 + sum(kappas[-n:])))
         reports.append(PinningLemmaReport(
-            constraint_value=value, residual_norm=math.sqrt(res_sq),
-            residual_bound=spectral_radius * tol, pinned=bool(value <= tol),
+            constraint_value=evaluate(c, lams), residual_norm=math.sqrt(res_sq),
             degenerate=any(len(set(c.kappas[block])) > 1 for block in blocks)))
     return reports

@@ -244,6 +244,13 @@ class TestSelection:
         assert code == 0
         assert [row["label"] for row in json.loads(out)["lemma_residuals"]] == labels
 
+    def test_no_pin_tol_flag(self, capsys):
+        # the lemma reports a residual and a facet value; no tolerance enters either
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["selection", "--setting", "3,6", "--saturated", "none", "--pin-tol", "1e-8"])
+        assert exc.value.code == 2
+        assert "--pin-tol" in capsys.readouterr().err
+
 
 class TestHarmonium:
     def test_zero_coupling_point(self):
@@ -442,7 +449,6 @@ class TestInputsCheckedAtTheBoundary:
         ["gpc", "--non", "0.9,0.7,0.6,0.4,0.3,inf", "--setting", "3,6", "--json"],
         ["gpc", "--non", "0.9,0.7,0.6,0.4,0.3,0.1", "--setting", "3,6", "--pin-tol", "-1"],
         ["gpc", "--non", "0.9,0.7,0.6,0.4,0.3,0.1", "--setting", "3,6", "--pin-tol", "nan"],
-        ["selection", "--setting", "3,6", "--saturated", "none", "--pin-tol", "-1"],
         ["hz", "--dim", "0", "--json"],
         ["hz", "--dim=-2", "--json"],
         ["harmonium", "--kappa", "0.2", "--basis", "65", "--json"],

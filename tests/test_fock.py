@@ -364,6 +364,18 @@ class TestStateArrays:
         with pytest.raises(ValueError, match="in d=63"):
             FermionState(OrbitalSpace(d=63, n=2), [(1 << 63) | 1], [1.0])
 
+    @pytest.mark.parametrize("d", [1, 6, 28, 49, 63, 64])
+    def test_occupied_matches_bit_by_bit(self, d):
+        # random 64-bit masks, bit 63 set in about half; the table keeps bits 0..d-1
+        rng = np.random.default_rng(d)
+        masks = rng.integers(0, 2 ** 64, size=1000, dtype=np.uint64, endpoint=False)
+        masks[:2] = [0, 2 ** 64 - 1]
+        expected = [[int(mask) >> k & 1 == 1 for k in range(d)] for mask in masks]
+        table = occupied(masks, d)
+        assert table.dtype == bool and table.shape == (1000, d)
+        assert table.tolist() == expected
+        assert occupied(masks.tolist(), d).tolist() == expected
+
     def test_slater_masks_match_enumeration(self):
         space = OrbitalSpace(d=7, n=3)
         expected = sorted(det(*occupied)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -288,8 +289,16 @@ class TestExpansion:
     def test_cost_guard_admits_the_largest_n4_basis(self):
         # d=49 needs 1176^2 * 97 = 1.34e8 multiply-adds, under the limit
         assert math.comb(49, 2) ** 2 * harmonium.node_count(4, 49) < harmonium.MAX_EXPANSION_COST
-        state, deficit = expand_in_hermite_basis(HarmoniumParams(n=4, kappa=0.25), 49)
+        # its 106 076 determinants get no (m, d) uint64 occupation table
+        # (41.5 MB); the minors and the product take about 17 MB
+        tracemalloc.start()
+        try:
+            state, deficit = expand_in_hermite_basis(HarmoniumParams(n=4, kappa=0.25), 49)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert state.space.d == 49 and abs(deficit) <= harmonium.DEFICIT_TOL
+        assert peak < 30 * 2 ** 20
 
     def test_norm_above_one_rejected(self, monkeypatch):
         # doubled weights scale the sums of each amplitude by 2^(n+1), so
@@ -426,16 +435,6 @@ class TestGaussHermiteRule:
         t, w = harmonium._gh_nodes(g)
         assert np.max(np.abs(t - t_ref)) < 4e-15
         assert np.max(np.abs(w / np.exp(np.log(w_ref) + t_ref * t_ref) - 1)) < 3e-12
-
-    def test_harmonium_point_needs_no_lapack_eigensolver(self, monkeypatch):
-        def refuse(*_args, **_kwargs):
-            raise AssertionError("LAPACK eigensolver called")
-
-        harmonium._gh_nodes.cache_clear()
-        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-        monkeypatch.setattr(np.linalg, "eigh", refuse)
-        point = harmonium.point(1.0 / 3.0)
-        assert abs(point.d_value - 5.9112099659586193e-09) <= 1e-15
 
     def test_cached_and_read_only(self):
         t, w = harmonium._gh_nodes(19)

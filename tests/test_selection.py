@@ -33,8 +33,8 @@ def orbital_sets(masks):
     return sorted(orbitals(mask) for mask in masks.tolist())
 
 
-def lemma(state, constraint, tol=1e-8):
-    report, = verify_pinning_lemma(natural_frame(state), [constraint], tol=tol)
+def lemma(state, constraint):
+    report, = verify_pinning_lemma(natural_frame(state), [constraint])
     return report
 
 
@@ -125,7 +125,7 @@ class TestPinningLemma:
         report = lemma(state, BD_INEQ)
         assert abs(report.constraint_value) < 1e-12
         assert report.residual_norm < 1e-12
-        assert report.pinned and not report.degenerate
+        assert not report.degenerate
 
     def test_single_determinant_relabels_to_hartree_fock(self):
         state = make_state(SPACE, {det(1, 2, 4): 1.0})
@@ -140,18 +140,6 @@ class TestPinningLemma:
         report = lemma(state, BD_INEQ)
         assert report.constraint_value > 1e-3
         assert report.residual_norm > 0.0
-        assert not report.pinned
-
-    def test_residual_bound_scales_with_tol(self):
-        state = make_state(SPACE, PINNED)
-        report = lemma(state, BD_INEQ, tol=1e-4)
-        assert report.residual_bound == pytest.approx(2 * 1e-4)  # spectral radius 2
-
-    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
-    def test_tolerance_must_be_finite_and_non_negative(self, tol):
-        state = make_state(SPACE, PINNED)
-        with pytest.raises(ValueError, match=rf"^tol must be a finite number >= 0, got {tol!r}$"):
-            verify_pinning_lemma(natural_frame(state), [BD_INEQ], tol=tol)
 
     def test_lemma_over_pinned_ensemble(self):
         rng = np.random.default_rng(42)
@@ -174,8 +162,8 @@ class TestPinningLemma:
             state = make_state(SPACE, {det(1, 2, 4): 1.0})
         constraints = list(CAT.constraints)
         frame = natural_frame(state)
-        reports = verify_pinning_lemma(frame, constraints, tol=1e-6)
-        assert reports == [lemma(state, c, tol=1e-6) for c in constraints]
+        reports = verify_pinning_lemma(frame, constraints)
+        assert reports == [lemma(state, c) for c in constraints]
         assert verify_pinning_lemma(frame, []) == []
 
     def test_dimension_mismatch(self):
@@ -183,20 +171,6 @@ class TestPinningLemma:
         with pytest.raises(ValueError):
             verify_pinning_lemma(natural_frame(state),
                                  [BD_INEQ, PauliConstraint(1, (-1, 0), "ineq", "x")])
-
-    @pytest.mark.parametrize("n,d", [(3, 6), (3, 12), (4, 10), (2, 5)])
-    def test_spectral_radius_matches_enumeration(self, n, d):
-        space = OrbitalSpace(d=d, n=n)
-        state = random_state(space, np.random.default_rng(d))
-        rng = np.random.default_rng(n)
-        constraints = [PauliConstraint(int(rng.integers(-3, 4)),
-                                       tuple(int(k) for k in rng.integers(-4, 5, d)), "ineq",
-                                       f"random-{i}") for i in range(6)]
-        constraints += list(catalog(n, d).constraints)
-        reports = verify_pinning_lemma(natural_frame(state), constraints, tol=1.0)
-        for c, report in zip(constraints, reports):
-            radius = max(abs(slater_value(c, d0)) for d0 in basis(space))
-            assert report.residual_bound == radius
 
 
 class TestAnsatzConverse:
