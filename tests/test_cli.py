@@ -449,6 +449,7 @@ class TestInputsCheckedAtTheBoundary:
         ["gpc", "--non", "0.9,0.7,0.6,0.4,0.3,inf", "--setting", "3,6", "--json"],
         ["gpc", "--non", "0.9,0.7,0.6,0.4,0.3,0.1", "--setting", "3,6", "--pin-tol", "-1"],
         ["gpc", "--non", "0.9,0.7,0.6,0.4,0.3,0.1", "--setting", "3,6", "--pin-tol", "nan"],
+        ["gpc", "--non", "0.9,0.7,0.6,0.4,0.3,0.1", "--setting", "3,6", "--pin-tol", "inf"],
         ["hz", "--dim", "0", "--json"],
         ["hz", "--dim=-2", "--json"],
         ["harmonium", "--kappa", "0.2", "--basis", "65", "--json"],

@@ -172,6 +172,24 @@ class TestPinningLemma:
             verify_pinning_lemma(natural_frame(state),
                                  [BD_INEQ, PauliConstraint(1, (-1, 0), "ineq", "x")])
 
+    @pytest.mark.parametrize("n,d", [(3, 6), (3, 12), (4, 10), (2, 5)])
+    def test_residual_matches_enumeration(self, n, d):
+        space = OrbitalSpace(d=d, n=n)
+        state = random_state(space, np.random.default_rng(d))
+        rng = np.random.default_rng(n)
+        constraints = [PauliConstraint(int(rng.integers(-3, 4)),
+                                       tuple(int(k) for k in rng.integers(-4, 5, d)), "ineq",
+                                       f"random-{i}") for i in range(6)]
+        constraints += list(catalog(n, d).constraints)
+        lams, rotated = frame = natural_frame(state)
+        reports = verify_pinning_lemma(frame, constraints)
+        for c, report in zip(constraints, reports):
+            # ||D_hat psi||^2 summed determinant by determinant in the natural-orbital basis
+            res_sq = sum(slater_value(c, mask) ** 2 * abs(amp) ** 2
+                         for mask, amp in zip(rotated.masks.tolist(), rotated.amps.tolist()))
+            assert report.residual_norm == pytest.approx(math.sqrt(res_sq), rel=1e-12)
+            assert report.constraint_value == evaluate(c, lams)
+
 
 class TestAnsatzConverse:
     def test_random_ordered_amplitudes_land_on_facet(self):
