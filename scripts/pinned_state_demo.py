@@ -32,14 +32,14 @@ def main() -> int:
 
     report = pinning_report(lams, cat)
     print("facet distance D_min:", f"{report.d_min:.3e}", f"({report.d_min_label})")
-    print("saturated constraints:", ", ".join(report.saturated_labels()))
+    print("saturated constraints:", ", ".join(report.saturated))
 
     equalities = [cat.by_label(f"bd-eq{i}") for i in (1, 2, 3)]
     eight = zero_eigenspace_slaters(equalities, space)
     print(f"\nuniversal support from the three equalities ({len(eight)} determinants):")
     print("  " + kets(eight))
 
-    ansatz = zero_eigenspace_slaters(report.saturated, space)
+    ansatz = zero_eigenspace_slaters(map(cat.by_label, report.saturated), space)
     print(f"support after saturating the facet too ({len(ansatz)} determinants):")
     print("  " + kets(ansatz))
 

@@ -64,7 +64,7 @@ class ConstraintCatalog:
         for c in self.constraints:
             if c.label == label:
                 return c
-        raise KeyError(f"no constraint labeled {label!r}")
+        raise ValueError(f"no constraint labeled {label!r}")
 
 
 def _unit(d: int, *positions: int) -> tuple[int, ...]:
@@ -141,21 +141,19 @@ def hf_distance(lams: Sequence[float], n: int) -> float:
 
 @dataclass(frozen=True)
 class PinningReport:
+    """The pinning verdict; its fields, in order, are the keys of `qmarg gpc --json`."""
     n: int
     d: int
-    values: tuple[tuple[str, str, float], ...]  # (label, kind, value)
+    values: tuple[dict, ...]  # {"label", "kind", "value"} per catalog constraint
     d_min: float
     d_min_label: str
-    saturated: tuple[PauliConstraint, ...]  # facet constraints within pin_tol
+    saturated: tuple[str, ...]  # labels of the facet constraints within pin_tol
     equality_residuals: dict
     equality_violations: tuple[str, ...]
     hf_distance: float
     pin_tol: float
     truncation_weight: float | None
     quasipinning: tuple[tuple[float, bool], ...]
-
-    def saturated_labels(self) -> tuple[str, ...]:
-        return tuple(c.label for c in self.saturated)
 
 
 def pinning_report(lams: Sequence[float], cat: ConstraintCatalog,
@@ -165,13 +163,16 @@ def pinning_report(lams: Sequence[float], cat: ConstraintCatalog,
 
     d_min is the smallest facet-inequality value, the distance-to-boundary
     measure of the quasipinning analysis.  Equalities violated beyond EQ_TOL
-    are flagged, never rejected, so truncated spectra remain analyzable.
+    are flagged, never rejected, so truncated spectra remain analyzable.  An
+    unsorted lams is refused: the catalog is written for decreasing occupations.
     """
     if not (np.isfinite(pin_tol) and pin_tol >= 0):
         raise ValueError(f"pin_tol must be a finite number >= 0, got {pin_tol!r}")
     lams = np.asarray(lams, dtype=float)
     if lams.shape != (cat.d,):
         raise ValueError(f"catalog is for d={cat.d}, got length-{lams.size} vector")
+    if np.any(np.diff(lams) > 0):
+        raise ValueError("occupations must be in decreasing order")
     values = []
     saturated = []
     eq_residuals = {}
@@ -180,18 +181,18 @@ def pinning_report(lams: Sequence[float], cat: ConstraintCatalog,
     d_min_label = ""
     for c in cat.constraints:
         v = evaluate(c, lams)
-        values.append((c.label, c.kind, v))
+        values.append({"label": c.label, "kind": c.kind, "value": v})
         if c.kind == "eq":
             eq_residuals[c.label] = v
             if abs(v) > EQ_TOL:
                 eq_violations.append(c.label)
             elif abs(v) <= pin_tol and c.label != "norm":
-                saturated.append(c)
+                saturated.append(c.label)
         elif not c.chamber:
             if d_min is None or v < d_min:
                 d_min, d_min_label = v, c.label
             if abs(v) <= pin_tol:
-                saturated.append(c)
+                saturated.append(c.label)
     return PinningReport(
         n=cat.n,
         d=cat.d,

@@ -58,6 +58,8 @@ def out_of_support_weight(state: FermionState, support: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class PinningLemmaReport:
+    """One row of `qmarg selection --json`'s lemma_residuals, fields in key order."""
+    label: str
     constraint_value: float      # value on the sorted occupation spectrum
     residual_norm: float         # ||D_hat psi|| in the natural-orbital basis
     degenerate: bool             # NO basis ambiguous across constraint coefficients
@@ -91,6 +93,6 @@ def verify_pinning_lemma(frame, constraints) -> list[PinningLemmaReport]:
     reports = []
     for c, res_sq in zip(constraints, residual_sq.tolist()):
         reports.append(PinningLemmaReport(
-            constraint_value=evaluate(c, lams), residual_norm=math.sqrt(res_sq),
+            label=c.label, constraint_value=evaluate(c, lams), residual_norm=math.sqrt(res_sq),
             degenerate=any(len(set(c.kappas[block])) > 1 for block in blocks)))
     return reports

@@ -21,6 +21,53 @@ from qmarginal.fock import OrbitalSpace, natural_occupations, one_rdm, rotate_or
 from qmarginal.gpc import realise
 
 
+# `gpc --non` on the pinned dyadic spectrum: every value is a dyadic rational, so
+# these bytes depend on no BLAS build
+DYADIC_PINNED = "0.875,0.75,0.625,0.375,0.25,0.125"
+DYADIC_PINNED_TEXT = (
+    'setting: n=3 d=6\n'
+    'norm (eq): 0\n'
+    'pauli-top (ineq): 0.125\n'
+    'pauli-bottom (ineq): 0.125\n'
+    'ord-1 (ineq): 0.125\n'
+    'ord-2 (ineq): 0.125\n'
+    'ord-3 (ineq): 0.25\n'
+    'ord-4 (ineq): 0.125\n'
+    'ord-5 (ineq): 0.125\n'
+    'bd-eq1 (eq): 0\n'
+    'bd-eq2 (eq): 0\n'
+    'bd-eq3 (eq): 0\n'
+    'bd-ineq (ineq): 0\n'
+    'D_min: 0 (bd-ineq)\n'
+    'saturated: bd-eq1,bd-eq2,bd-eq3,bd-ineq\n'
+    'hf_distance: 0.66143782776614768\n'
+    'quasipinned@0.01: yes\n'
+    'quasipinned@0.0001: yes\n'
+    'quasipinned@1e-06: yes\n'
+)
+DYADIC_PINNED_JSON = (
+    '{"n": 3, "d": 6, "values": ['
+    '{"label": "norm", "kind": "eq", "value": 0}, '
+    '{"label": "pauli-top", "kind": "ineq", "value": 0.125}, '
+    '{"label": "pauli-bottom", "kind": "ineq", "value": 0.125}, '
+    '{"label": "ord-1", "kind": "ineq", "value": 0.125}, '
+    '{"label": "ord-2", "kind": "ineq", "value": 0.125}, '
+    '{"label": "ord-3", "kind": "ineq", "value": 0.25}, '
+    '{"label": "ord-4", "kind": "ineq", "value": 0.125}, '
+    '{"label": "ord-5", "kind": "ineq", "value": 0.125}, '
+    '{"label": "bd-eq1", "kind": "eq", "value": 0}, '
+    '{"label": "bd-eq2", "kind": "eq", "value": 0}, '
+    '{"label": "bd-eq3", "kind": "eq", "value": 0}, '
+    '{"label": "bd-ineq", "kind": "ineq", "value": 0}], '
+    '"d_min": 0, "d_min_label": "bd-ineq", '
+    '"saturated": ["bd-eq1", "bd-eq2", "bd-eq3", "bd-ineq"], '
+    '"equality_residuals": {"norm": 0, "bd-eq1": 0, "bd-eq2": 0, "bd-eq3": 0}, '
+    '"equality_violations": [], "hf_distance": 0.66143782776614768, "pin_tol": 1e-08, '
+    '"truncation_weight": null, '
+    '"quasipinning": [[0.01, true], [0.0001, true], [9.9999999999999995e-07, true]]}\n'
+)
+
+
 def run_cli(argv):
     buffer = io.StringIO()
     with redirect_stdout(buffer):
@@ -149,6 +196,21 @@ class TestGpc:
         assert run_cli(["gpc", "--setting", "3,6"])[0] == 2
         assert run_cli(["gpc", "--non", "1,0", "--state", bd_state_file])[0] == 2
 
+    @pytest.mark.parametrize("flag,expected", [([], DYADIC_PINNED_TEXT),
+                                               (["--json"], DYADIC_PINNED_JSON)])
+    def test_printed_report_byte_for_byte(self, flag, expected):
+        assert run_cli(["gpc", "--non", DYADIC_PINNED, "--setting", "3,6", *flag]) \
+            == (0, expected)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--non", "0.1,0.3,0.4,0.6,0.7,0.9"], "occupations must be in decreasing order"),
+        (["--non", DYADIC_PINNED, "--pin-tol", "-1"],
+         "pin_tol must be a finite number >= 0, got -1.0")], ids=["unsorted", "pin-tol"])
+    def test_refused_by_the_report(self, argv, message, capsys):
+        code, out = run_cli(["gpc", *argv, "--setting", "3,6"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_particle_number_below_one_exits_2(self, n, capsys):
         code, out = run_cli(["gpc", "--non", "1,1,1,0,0,0", f"--setting={n},6"])
@@ -192,6 +254,13 @@ class TestSelection:
         assert doc["weight_outside_ansatz"] == pytest.approx(0.0, abs=1e-12)
         for row in doc["lemma_residuals"]:
             assert row["residual_norm"] < 1e-10
+
+    def test_lemma_row_keys_in_order(self, bd_state_file):
+        code, out = run_cli(["selection", "--setting", "3,6", "--saturated", "bd-ineq",
+                             "--state", bd_state_file, "--json"])
+        assert code == 0
+        row, = json.loads(out)["lemma_residuals"]
+        assert list(row) == ["label", "constraint_value", "residual_norm", "degenerate"]
 
     def test_ansatz_weight_of_a_rotated_pinned_state(self, tmp_path):
         # the pinned state in a random orbital basis: the ansatz holds in its
@@ -394,6 +463,14 @@ class TestSchubertCommands:
         doc = json.loads(out)
         assert doc["all_passed"] is True
         assert len(doc["reports"]) == 8
+
+    def test_hz_row_keys_in_order(self):
+        code, out = run_cli(["hz", "--dim", "3", "--pi", "101", "--trials", "20", "--json"])
+        assert code == 0
+        row, = json.loads(out)["reports"]
+        assert list(row) == ["pi", "target", "candidate_value", "candidate_in_cell",
+                             "min_sampled", "trials", "passed"]
+        assert row["pi"] == "101" and row["passed"] is True
 
     def test_ineq_valid_pair(self):
         code, out = run_cli(["ineq", "--da", "2", "--db", "2", "--pi", "10",

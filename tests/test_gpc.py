@@ -35,6 +35,10 @@ class TestCatalog:
         assert bd.kappa0 == 2 and bd.kappas == (-1, -1, 0, -1, 0, 0)
         assert cat.by_label("bd-eq1").kappas == (1, 0, 0, 0, 0, 1)
 
+    def test_unknown_label_is_a_value_error(self):
+        with pytest.raises(ValueError, match="no constraint labeled 'bogus'"):
+            catalog(3, 6).by_label("bogus")
+
     def test_single_particle_complete(self):
         # a pure one-fermion state has occupations (1, 0, ..., 0), which the
         # hypercube and ordering conditions do not cut out
@@ -113,7 +117,7 @@ class TestTruncation:
         a = pinning_report(lams, cat)
         b = pinning_report(back, cat)
         assert a.d_min == b.d_min
-        assert a.saturated_labels() == b.saturated_labels()
+        assert a.saturated == b.saturated
         assert a.hf_distance == b.hf_distance
 
 
@@ -121,20 +125,20 @@ class TestPinningReport:
     def test_hf_point(self):
         report = pinning_report(np.array([1, 1, 1, 0, 0, 0], float), catalog(3, 6))
         assert report.d_min == 0.0
-        assert "bd-ineq" in report.saturated_labels()
+        assert "bd-ineq" in report.saturated
         assert report.hf_distance == 0.0
         assert not report.equality_violations
 
     def test_bd_example_pinned_to_facet(self):
         report = pinning_report(BD_EXAMPLE, catalog(3, 6))
         assert abs(report.d_min) < 1e-14
-        assert "bd-ineq" in report.saturated_labels()
+        assert "bd-ineq" in report.saturated
 
     def test_hypercube_center_unpinned(self):
         report = pinning_report(np.full(6, 0.5), catalog(3, 6))
         # ordering chamber conditions are all tight but they are not facets
         assert abs(report.d_min - 0.5) < 1e-15
-        assert report.saturated_labels() == ("bd-eq1", "bd-eq2", "bd-eq3")
+        assert report.saturated == ("bd-eq1", "bd-eq2", "bd-eq3")
         assert not report.equality_violations
 
     def test_equality_violation_flagged_not_rejected(self):
@@ -160,6 +164,10 @@ class TestPinningReport:
 
     def test_zero_pin_tol_accepted(self):
         assert pinning_report(BD_EXAMPLE, catalog(3, 6), pin_tol=0.0).pin_tol == 0.0
+
+    def test_unsorted_occupations_rejected(self):
+        with pytest.raises(ValueError, match="occupations must be in decreasing order"):
+            pinning_report(BD_EXAMPLE[::-1], catalog(3, 6))
 
 
 def bd_spectrum(facet_value):

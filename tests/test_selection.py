@@ -103,12 +103,12 @@ class TestZeroEigenspace:
 class TestAnsatzFromReport:
     def test_all_four_saturated(self):
         report = pinning_report(np.array([0.9, 0.7, 0.6, 0.4, 0.3, 0.1]), CAT)
-        masks = zero_eigenspace_slaters(report.saturated, SPACE)
+        masks = zero_eigenspace_slaters(map(CAT.by_label, report.saturated), SPACE)
         assert orbital_sets(masks) == sorted(THREE)
 
     def test_only_equalities_saturated(self):
         report = pinning_report(np.full(6, 0.5), CAT)
-        masks = zero_eigenspace_slaters(report.saturated, SPACE)
+        masks = zero_eigenspace_slaters(map(CAT.by_label, report.saturated), SPACE)
         assert orbital_sets(masks) == sorted(EIGHT)
 
     def test_nothing_saturated_keeps_full_basis(self):
