@@ -125,10 +125,13 @@ def truncate_spectrum(lams: Sequence[float], d_target: int) -> tuple[np.ndarray,
 
     No renormalization: rescaling would silently shift every constraint value.
     A caller can bound the induced error of a constraint by |kappa|_1 * eps.
+    An unsorted lams is refused, since its first entries need not be its largest.
     """
     lams = np.asarray(lams, dtype=float)
     if d_target > lams.size:
         raise ValueError(f"cannot truncate length {lams.size} to {d_target}")
+    if np.any(np.diff(lams) > 0):
+        raise ValueError("occupations must be in decreasing order")
     return lams[:d_target].copy(), float(lams[d_target:].sum())
 
 

@@ -83,3 +83,54 @@ def random_mixed_density(d: int, rng: np.random.Generator,
     g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     rho = g @ g.conj().T
     return rho / np.real(np.trace(rho))
+
+
+# rank decisions of schubert_membership: singular values above RANK_TOL_FACTOR
+# times the largest count, and those within a decade of that threshold are
+# reported rather than guessed
+RANK_TOL_FACTOR = 1e-8
+RANK_GUARD = 10.0
+
+
+class IndeterminateRankError(ValueError):
+    """A singular value sits too close to the rank threshold to decide."""
+
+
+def _rank(matrix: np.ndarray) -> int:
+    if matrix.shape[1] == 0:
+        return 0
+    sing = np.linalg.svd(matrix, compute_uv=False)
+    threshold = RANK_TOL_FACTOR * sing[0] if sing[0] > 0 else RANK_TOL_FACTOR
+    near = (sing > threshold / RANK_GUARD) & (sing < threshold * RANK_GUARD)
+    if np.any(near):
+        raise IndeterminateRankError("singular value within a decade of the rank threshold")
+    return int(np.sum(sing > threshold))
+
+
+def schubert_membership(frame: np.ndarray, basis: np.ndarray, pi) -> bool:
+    """Whether span(frame) has the intersection-jump pattern pi against the
+    flag whose F_i is spanned by the first i columns of basis.
+
+    dim(V intersect F_i) is computed as dim V + i - rank([frame | F_i]); rank
+    decisions sit on a singular-value threshold, so borderline inputs raise
+    IndeterminateRankError instead of guessing.
+    """
+    d = basis.shape[0]
+    pi = tuple(int(b) for b in pi)
+    if len(pi) != d or any(b not in (0, 1) for b in pi):
+        raise ValueError(f"expected a binary sequence of length {d}, got {pi}")
+    frame = np.asarray(frame, dtype=complex)
+    if frame.ndim != 2 or frame.shape[0] != d:
+        raise ValueError(f"expected a frame of {d}-vectors, got shape {frame.shape}")
+    k = frame.shape[1]
+    if k and np.max(np.abs(frame.conj().T @ frame - np.eye(k))) > 1e-10:
+        raise ValueError("frame is not orthonormal within tolerance")
+    if sum(pi) != k:
+        raise ValueError(f"weight of pi is {sum(pi)}, subspace dimension is {k}")
+    previous = 0
+    for i in range(1, d + 1):
+        dim_cap = k + i - _rank(np.hstack([frame, basis[:, :i]]))
+        if dim_cap - previous != pi[i - 1]:
+            return False
+        previous = dim_cap
+    return True

@@ -23,14 +23,15 @@ import numpy as np
 import pytest
 
 from conftest import (amplitudes, det, orbitals, pinned_ansatz_state, random_mixed_density,
-                      random_state)
+                      random_state, schubert_membership)
 from qmarginal.cli import main as cli_main
 from qmarginal.fock import OrbitalSpace, natural_occupations, one_rdm
 from qmarginal.gpc import catalog, evaluate, truncate_spectrum
 from qmarginal import harmonium
 from qmarginal.harmonium import (HarmoniumParams, expand_in_hermite_basis, ground_state_spec,
                                  quasipinning_scan)
-from qmarginal.schubert import check_spectral_inequality, hersch_zwahlen_check, partial_trace
+from qmarginal.schubert import (check_spectral_inequality, hersch_zwahlen_check, induced_flag,
+                                partial_trace)
 from qmarginal.selection import natural_frame, verify_pinning_lemma, zero_eigenspace_slaters
 
 SPACE36 = OrbitalSpace(d=6, n=3)
@@ -181,10 +182,11 @@ def test_criterion_08_hersch_zwahlen_suite():
         rng = np.random.default_rng(seed)
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         rho = (g + g.conj().T) / 2.0
+        basis = induced_flag(rho).basis
         for mask in range(2 ** d):
             pi = tuple(int(b) for b in format(mask, f"0{d}b"))
             rep = hersch_zwahlen_check(rho, pi, trials=200, seed=seed)
-            assert rep.candidate_in_cell
+            assert schubert_membership(basis[:, np.flatnonzero(pi)], basis, pi)
             worst_candidate = max(worst_candidate, abs(rep.candidate_value - rep.target))
             worst_sample = max(worst_sample, rep.target - rep.min_sampled)
     elapsed = time.time() - t0

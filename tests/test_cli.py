@@ -204,8 +204,11 @@ class TestGpc:
 
     @pytest.mark.parametrize("argv,message", [
         (["--non", "0.1,0.3,0.4,0.6,0.7,0.9"], "occupations must be in decreasing order"),
+        # longer than d: truncation must not drop the unsorted entry unseen
+        (["--non", "0.9,0.7,0.6,0.4,0.3,0.1,0.95"], "occupations must be in decreasing order"),
         (["--non", DYADIC_PINNED, "--pin-tol", "-1"],
-         "pin_tol must be a finite number >= 0, got -1.0")], ids=["unsorted", "pin-tol"])
+         "pin_tol must be a finite number >= 0, got -1.0")],
+        ids=["unsorted", "unsorted-tail", "pin-tol"])
     def test_refused_by_the_report(self, argv, message, capsys):
         code, out = run_cli(["gpc", *argv, "--setting", "3,6"])
         assert code == 2 and out == ""
@@ -468,8 +471,8 @@ class TestSchubertCommands:
         code, out = run_cli(["hz", "--dim", "3", "--pi", "101", "--trials", "20", "--json"])
         assert code == 0
         row, = json.loads(out)["reports"]
-        assert list(row) == ["pi", "target", "candidate_value", "candidate_in_cell",
-                             "min_sampled", "trials", "passed"]
+        assert list(row) == ["pi", "target", "candidate_value", "min_sampled", "trials",
+                             "passed"]
         assert row["pi"] == "101" and row["passed"] is True
 
     def test_ineq_valid_pair(self):

@@ -105,6 +105,11 @@ class TestTruncation:
         with pytest.raises(ValueError):
             truncate_spectrum([1.0, 0.5], 3)
 
+    def test_rejects_unsorted_tail(self):
+        # the dropped entry 0.95 is larger than the kept ones
+        with pytest.raises(ValueError, match="^occupations must be in decreasing order$"):
+            truncate_spectrum([0.9, 0.7, 0.6, 0.4, 0.3, 0.1, 0.95], 6)
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 4))
     def test_report_invariant_under_zero_padding(self, seed, pad):

@@ -722,3 +722,71 @@ class TestHighPrecisionOracle:
     def test_folded_amplitudes_match_34_digit_oracle(self, n, kappa, basis):
         state, _ = expand_in_hermite_basis(HarmoniumParams(n=n, kappa=kappa), basis)
         assert_matches_oracle(state, mpmath_amplitudes(n, kappa, basis), n, 1e-14, 1e-30)
+
+
+def n2_bidiagonal(kappa, pairs, sqrt=math.sqrt):
+    """The bidiagonal B of the N=2 ground state over its first 2*pairs levels, from kappa alone.
+
+    Psi = (x - y) exp(-a(x^2 + y^2) + bxy) with a = (1 + w)/4, b = (w - 1)/2 and
+    w = sqrt(1 + 2 kappa).  Mehler's formula writes the Gaussian as a sum of
+    q^k phi_k(x) phi_k(y) over oscillator functions of frequency sqrt(w), with
+    q = (sqrt(w) - 1)/(sqrt(w) + 1).  As x = (a + a^dag)/sqrt(2 sqrt(w)), the
+    coefficient matrix C of Psi in that basis is antisymmetric and tridiagonal,
+    C[k+1, k] = e_k = sqrt(k+1) q^k (1 - q) up to one factor.  Even rows against
+    odd columns, C = [[0, B], [-B^T, 0]] with B[i, i] = -e_2i and
+    B[i, i-1] = e_2i-1, so the occupations 2 C C^T / |C|_F^2 are
+    sigma_i(B)^2 / |B|_F^2, each twice.  sqrt is math.sqrt or mpmath.sqrt, which
+    sets the arithmetic.
+    """
+    root = sqrt(sqrt(1 + 2 * kappa))
+    q = (root - 1) / (root + 1)
+    e = [sqrt(k + 1) * q ** k * (1 - q) for k in range(2 * pairs)]
+    b = [[0 * q] * pairs for _ in range(pairs)]
+    for i in range(pairs):
+        b[i][i] = -e[2 * i]
+        if i:
+            b[i][i - 1] = e[2 * i - 1]
+    return b
+
+
+def n2_closed_form_occupations(kappa, pairs=64):
+    """The N=2 occupations in an unbounded basis: 128 levels leave a tail of q^128 <= 1e-42
+    for kappa <= 100.  A graded bidiagonal keeps its small singular values to
+    relative accuracy."""
+    sing = np.linalg.svd(np.array(n2_bidiagonal(kappa, pairs)), compute_uv=False)
+    return np.repeat(sing ** 2 / np.sum(sing ** 2), 2)
+
+
+def n2_spectrum(kappa):
+    state, deficit = expand_in_hermite_basis(HarmoniumParams(n=2, kappa=kappa), 64)
+    lams, _ = natural_occupations(one_rdm(state), vectors=False)
+    return lams, deficit
+
+
+class TestN2ClosedForm:
+    @pytest.mark.parametrize("kappa", [1.0 / 3.0, 1.0, 10.0])
+    def test_spectrum_matches_closed_form(self, kappa):
+        # worst measured: 1.6e-10 on lam_5 at kappa = 1/3, 2.7e-10 on lam_11 at kappa = 10
+        lams, _ = n2_spectrum(kappa)
+        exact = n2_closed_form_occupations(kappa)[:lams.size]
+        kept = lams >= 1e-9
+        assert np.count_nonzero(kept) >= 6
+        assert np.max(np.abs(lams[kept] / exact[kept] - 1)) <= 1e-9
+
+    def test_truncation_error_is_the_norm_deficit(self):
+        # at kappa = 100 the 64 orbitals miss 3.7e-7 of the norm, and the top
+        # six occupations are off by up to 3.0e-7
+        lams, deficit = n2_spectrum(100.0)
+        exact = n2_closed_form_occupations(100.0)
+        assert np.max(np.abs(lams[:6] - exact[:6])) <= 2 * deficit
+
+    @pytest.mark.parametrize("kappa", [1.0 / 3.0, 1.0, 10.0, 100.0])
+    def test_float64_bidiagonal_matches_100_digits(self, kappa):
+        # 20 pairs, down to lam = 5.5e-90 at kappa = 1/3; worst measured 3.2e-14
+        with mpmath.workdps(100):
+            b = mpmath.matrix(n2_bidiagonal(mpmath.mpf(kappa), 24, mpmath.sqrt))
+            sing = sorted(mpmath.svd_r(b, compute_uv=False), reverse=True)
+            total = mpmath.fsum(s ** 2 for s in sing)
+            exact = np.array([float(s ** 2 / total) for s in sing[:20]])
+        sing = np.linalg.svd(np.array(n2_bidiagonal(kappa, 24)), compute_uv=False)
+        assert np.max(np.abs(sing[:20] ** 2 / np.sum(sing ** 2) / exact - 1)) <= 1e-13

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_mixed_density, random_pure_density
+from conftest import (IndeterminateRankError, random_mixed_density, random_pure_density,
+                      schubert_membership)
 from qmarginal import schubert
-from qmarginal.schubert import (TRIAL_BLOCK, DegenerateSpectrumError, Flag,
-                                IndeterminateRankError, _sample_densities, _validate_pi,
-                                check_spectral_inequality, hersch_zwahlen_check, induced_flag,
-                                partial_trace, schubert_membership)
+from qmarginal.schubert import (TRIAL_BLOCK, DegenerateSpectrumError, Flag, _sample_densities,
+                                _validate_pi, check_spectral_inequality, hersch_zwahlen_check,
+                                induced_flag, partial_trace)
 
 
 def standard_flag(d):
@@ -89,11 +89,6 @@ def first_violation_by_loop(pi, sigma, d_a, d_b, samples, seed):
 
 
 class TestFlag:
-    def test_standard_flag_subspaces(self):
-        flag = standard_flag(3)
-        assert flag.subspace(2).shape == (3, 2)
-        assert np.allclose(flag.subspace(2), np.eye(3)[:, :2])
-
     def test_non_orthonormal_rejected(self):
         with pytest.raises(ValueError):
             Flag(np.array([[1.0, 1.0], [0.0, 1.0]]))
@@ -110,7 +105,7 @@ class TestFlag:
         a = random_hermitian(5, 1)
         flag = induced_flag(a)
         for i in range(1, 6):
-            frame = flag.subspace(i)
+            frame = flag.basis[:, :i]
             image = a @ frame
             residual = image - frame @ (frame.conj().T @ image)
             assert np.max(np.abs(residual)) < 1e-9
@@ -119,29 +114,29 @@ class TestFlag:
 class TestMembership:
     def test_first_axis(self):
         flag = standard_flag(2)
-        assert schubert_membership(np.eye(2)[:, :1], flag, (1, 0))
+        assert schubert_membership(np.eye(2)[:, :1], flag.basis, (1, 0))
 
     def test_jump_at_second_position(self):
         flag = standard_flag(2)
         frame = np.eye(2)[:, 1:]
-        assert not schubert_membership(frame, flag, (1, 0))
-        assert schubert_membership(frame, flag, (0, 1))
+        assert not schubert_membership(frame, flag.basis, (1, 0))
+        assert schubert_membership(frame, flag.basis, (0, 1))
 
     def test_diagonal_vector_jumps_late(self):
         flag = standard_flag(2)
         frame = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
-        assert schubert_membership(frame, flag, (0, 1))
-        assert not schubert_membership(frame, flag, (1, 0))
+        assert schubert_membership(frame, flag.basis, (0, 1))
+        assert not schubert_membership(frame, flag.basis, (1, 0))
 
     def test_weight_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            schubert_membership(np.eye(3)[:, :2], standard_flag(3), (1, 0, 0))
+            schubert_membership(np.eye(3)[:, :2], standard_flag(3).basis, (1, 0, 0))
 
     def test_borderline_rank_is_indeterminate(self):
         # the second component sits within a decade of the rank threshold
         frame = np.array([[1.0], [3e-8]]) / np.hypot(1.0, 3e-8)
         with pytest.raises(IndeterminateRankError, match="within a decade of the rank"):
-            schubert_membership(frame, standard_flag(2), (1, 0))
+            schubert_membership(frame, standard_flag(2).basis, (1, 0))
 
 
 class TestCellSampling:
@@ -149,7 +144,7 @@ class TestCellSampling:
         flag = induced_flag(random_hermitian(4, 3))
         for seed in range(5):
             frame = sample_schubert_cell(flag, (1, 1, 0, 0), np.random.default_rng(seed))
-            target = flag.subspace(2)
+            target = flag.basis[:, :2]
             overlap = target.conj().T @ frame
             # same span: projection preserves the frame
             assert np.max(np.abs(frame - target @ overlap)) < 1e-12
@@ -160,13 +155,13 @@ class TestCellSampling:
         for pattern in [(0, 1, 0, 1, 0), (1, 0, 0, 0, 1), (0, 0, 1, 1, 1)]:
             for _ in range(10):
                 frame = sample_schubert_cell(flag, pattern, rng)
-                assert schubert_membership(frame, flag, pattern)
+                assert schubert_membership(frame, flag.basis, pattern)
 
     def test_trailing_block_avoids_early_flag_generically(self):
         d, k = 5, 2
         flag = induced_flag(random_hermitian(d, 5))
         pi = (0, 0, 0, 1, 1)
-        early = flag.subspace(d - k)
+        early = flag.basis[:, :d - k]
         for seed in range(100):
             frame = sample_schubert_cell(flag, pi, np.random.default_rng(seed))
             stacked = np.hstack([frame, early])
@@ -269,8 +264,8 @@ class TestDuality:
             sigma = tuple(int(b) for b in format(mask, "05b"))
             dual = sigma[::-1]
             frame = flag_neg.basis[:, [i for i, b in enumerate(sigma) if b]]
-            assert schubert_membership(frame, flag_neg, sigma)
-            assert schubert_membership(frame, flag_pos, dual)
+            assert schubert_membership(frame, flag_neg.basis, sigma)
+            assert schubert_membership(frame, flag_pos.basis, dual)
 
     def test_duality_fails_for_generic_cell_members(self):
         # falsification kept on record: as a set identity over *open* cells the
@@ -283,8 +278,8 @@ class TestDuality:
         hits = 0
         for seed in range(10):
             frame = sample_schubert_cell(flag_neg, sigma, np.random.default_rng(seed))
-            assert schubert_membership(frame, flag_neg, sigma)
-            hits += schubert_membership(frame, flag_pos, sigma[::-1])
+            assert schubert_membership(frame, flag_neg.basis, sigma)
+            hits += schubert_membership(frame, flag_pos.basis, sigma[::-1])
         assert hits == 0
 
 
