@@ -281,7 +281,6 @@ def cmd_hz(args, out) -> int:
     else:
         for row in rows:
             _emit(out, f"pi={row['pi']} target={_fmt(row['target'])} "
-                       f"candidate={_fmt(row['candidate_value'])} "
                        f"min_sampled={_fmt(row['min_sampled'])} "
                        f"{'ok' if row['passed'] else 'FAIL'}")
         _emit(out, "all passed" if all_ok else "FAILURES present")

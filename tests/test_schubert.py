@@ -6,24 +6,31 @@ from hypothesis import strategies as st
 from conftest import (IndeterminateRankError, random_mixed_density, random_pure_density,
                       schubert_membership)
 from qmarginal import schubert
-from qmarginal.schubert import (TRIAL_BLOCK, DegenerateSpectrumError, Flag, _sample_densities,
+from qmarginal.schubert import (TRIAL_BLOCK, DegenerateSpectrumError, _sample_densities,
                                 _validate_pi, check_spectral_inequality, hersch_zwahlen_check,
-                                induced_flag, partial_trace)
+                                partial_trace)
 
 
 def standard_flag(d):
-    return Flag(np.eye(d, dtype=complex))
+    return np.eye(d, dtype=complex)
 
 
-def sample_schubert_cell(flag, pi, rng):
-    """Random member of the open cell, by its echelon parameterization: the
-    scalar oracle of the stacked sampler behind hersch_zwahlen_check.
+def eigenflag(rho):
+    """Basis of the flag of rho's eigenvectors, by decreasing eigenvalue."""
+    return np.linalg.eigh(rho)[1][:, ::-1]
 
-    Relative to the flag basis, row r has a pivot 1 at the r-th position of a
-    1 in pi, free complex Gaussian entries at earlier non-pivot positions and
+
+def sample_schubert_cell(basis, pi, rng):
+    """Random member of the open cell of the flag whose F_i is spanned by the
+    first i columns of basis, by its echelon parameterization; with the
+    standard flag, the scalar oracle of the stacked sampler behind
+    hersch_zwahlen_check.
+
+    Relative to the basis, row r has a pivot 1 at the r-th position of a 1 in
+    pi, free complex Gaussian entries at earlier non-pivot positions and
     zeros elsewhere; the span always realizes the jump pattern pi.
     """
-    d = flag.dim
+    d = basis.shape[0]
     pi = _validate_pi(pi, d)
     pivots = [i for i, b in enumerate(pi) if b]
     k = len(pivots)
@@ -33,7 +40,7 @@ def sample_schubert_cell(flag, pi, rng):
         for j in range(piv):
             if j not in pivots:
                 coeff[j, r] = rng.standard_normal() + 1j * rng.standard_normal()
-    frame = flag.basis @ coeff
+    frame = basis @ coeff
     if k == 0:
         return frame
     q, _ = np.linalg.qr(frame)
@@ -47,6 +54,13 @@ def check_streams(seed, count):
 
 def projection_value(rho, frame):
     return float(np.real(np.trace(frame.conj().T @ rho @ frame)))
+
+
+def eigenbasis_score(lams, frame):
+    """Tr[P_V diag(lams)] of one frame, scored as a stack of one the way
+    hersch_zwahlen_check scores its stacks."""
+    stack = frame[None]
+    return float((np.sum(stack.real ** 2 + stack.imag ** 2, axis=2) @ lams)[0])
 
 
 def random_unitary(d, rng):
@@ -88,80 +102,56 @@ def first_violation_by_loop(pi, sigma, d_a, d_b, samples, seed):
     return None
 
 
-class TestFlag:
-    def test_non_orthonormal_rejected(self):
-        with pytest.raises(ValueError):
-            Flag(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-    def test_induced_flag_diagonal(self):
-        flag = induced_flag(np.diag([3.0, 2.0, 1.0]))
-        assert np.allclose(np.abs(flag.basis), np.eye(3))
-
-    def test_degenerate_spectrum_rejected(self):
-        with pytest.raises(DegenerateSpectrumError):
-            induced_flag(np.diag([1.0, 1.0, 2.0]))
-
-    def test_invariant_subspaces(self):
-        a = random_hermitian(5, 1)
-        flag = induced_flag(a)
-        for i in range(1, 6):
-            frame = flag.basis[:, :i]
-            image = a @ frame
-            residual = image - frame @ (frame.conj().T @ image)
-            assert np.max(np.abs(residual)) < 1e-9
-
-
 class TestMembership:
     def test_first_axis(self):
-        flag = standard_flag(2)
-        assert schubert_membership(np.eye(2)[:, :1], flag.basis, (1, 0))
+        assert schubert_membership(np.eye(2)[:, :1], standard_flag(2), (1, 0))
 
     def test_jump_at_second_position(self):
         flag = standard_flag(2)
         frame = np.eye(2)[:, 1:]
-        assert not schubert_membership(frame, flag.basis, (1, 0))
-        assert schubert_membership(frame, flag.basis, (0, 1))
+        assert not schubert_membership(frame, flag, (1, 0))
+        assert schubert_membership(frame, flag, (0, 1))
 
     def test_diagonal_vector_jumps_late(self):
         flag = standard_flag(2)
         frame = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
-        assert schubert_membership(frame, flag.basis, (0, 1))
-        assert not schubert_membership(frame, flag.basis, (1, 0))
+        assert schubert_membership(frame, flag, (0, 1))
+        assert not schubert_membership(frame, flag, (1, 0))
 
     def test_weight_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            schubert_membership(np.eye(3)[:, :2], standard_flag(3).basis, (1, 0, 0))
+            schubert_membership(np.eye(3)[:, :2], standard_flag(3), (1, 0, 0))
 
     def test_borderline_rank_is_indeterminate(self):
         # the second component sits within a decade of the rank threshold
         frame = np.array([[1.0], [3e-8]]) / np.hypot(1.0, 3e-8)
         with pytest.raises(IndeterminateRankError, match="within a decade of the rank"):
-            schubert_membership(frame, standard_flag(2).basis, (1, 0))
+            schubert_membership(frame, standard_flag(2), (1, 0))
 
 
 class TestCellSampling:
     def test_leading_ones_cell_is_singleton(self):
-        flag = induced_flag(random_hermitian(4, 3))
+        flag = eigenflag(random_hermitian(4, 3))
         for seed in range(5):
             frame = sample_schubert_cell(flag, (1, 1, 0, 0), np.random.default_rng(seed))
-            target = flag.basis[:, :2]
+            target = flag[:, :2]
             overlap = target.conj().T @ frame
             # same span: projection preserves the frame
             assert np.max(np.abs(frame - target @ overlap)) < 1e-12
 
     def test_samples_are_members(self):
-        flag = induced_flag(random_hermitian(5, 4))
+        flag = eigenflag(random_hermitian(5, 4))
         rng = np.random.default_rng(0)
         for pattern in [(0, 1, 0, 1, 0), (1, 0, 0, 0, 1), (0, 0, 1, 1, 1)]:
             for _ in range(10):
                 frame = sample_schubert_cell(flag, pattern, rng)
-                assert schubert_membership(frame, flag.basis, pattern)
+                assert schubert_membership(frame, flag, pattern)
 
     def test_trailing_block_avoids_early_flag_generically(self):
         d, k = 5, 2
-        flag = induced_flag(random_hermitian(d, 5))
+        flag = eigenflag(random_hermitian(d, 5))
         pi = (0, 0, 0, 1, 1)
-        early = flag.basis[:, :d - k]
+        early = flag[:, :d - k]
         for seed in range(100):
             frame = sample_schubert_cell(flag, pi, np.random.default_rng(seed))
             stacked = np.hstack([frame, early])
@@ -217,19 +207,54 @@ class TestHerschZwahlen:
             assert report.target == pytest.approx(float(lams[:k].sum()))
             assert report.passed()
 
+    def test_non_square_or_non_hermitian_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            hersch_zwahlen_check(np.ones((2, 3)), (1, 0))
+        with pytest.raises(ValueError, match="square"):
+            hersch_zwahlen_check(np.ones(3), (1, 0, 0))
+        with pytest.raises(ValueError, match="Hermitian"):
+            hersch_zwahlen_check(np.array([[2.0, 1.0], [0.0, 1.0]]), (1, 0))
+
+    def test_eigenbasis_score_is_the_projection_value(self):
+        # Tr[P_V rho] is unitarily invariant: a frame Q of the standard cell
+        # scored against diag(lam) equals rho's projection onto V Q, with V
+        # rho's eigenvectors, and the check's minimum is the smallest of them
+        for d in range(3, 7):
+            rho = random_hermitian(d, 30 + d)
+            lams, basis = np.linalg.eigvalsh(rho)[::-1], eigenflag(rho)
+            for mask in range(2 ** d):
+                pi = tuple(int(b) for b in format(mask, f"0{d}b"))
+                rng, = check_streams(d, 1)
+                frames = [sample_schubert_cell(standard_flag(d), pi, rng) for _ in range(3)]
+                values = [projection_value(rho, basis @ frame) for frame in frames]
+                for frame, value in zip(frames, values):
+                    assert abs(eigenbasis_score(lams, frame) - value) <= 1e-12
+                report = hersch_zwahlen_check(rho, pi, trials=3, seed=d)
+                assert abs(report.min_sampled - min(values)) <= 1e-12
+
+    def test_increasing_spectrum_fails_the_check(self, monkeypatch):
+        # with the eigenvalues in increasing order the marked one is no
+        # minimum: a member z e_0 + e_1 of the cell of (0, 1, 0, 0) scores
+        # (|z|^2 lam_0 + lam_1) / (1 + |z|^2), below lam_1 for every z != 0
+        spectrum = schubert._spectrum
+        monkeypatch.setattr(schubert, "_spectrum", lambda rho: spectrum(rho)[::-1])
+        rho = random_hermitian(4, 13)
+        report = hersch_zwahlen_check(rho, (0, 1, 0, 0), trials=50)
+        assert report.target == pytest.approx(np.linalg.eigvalsh(rho)[1])
+        assert not report.passed()
 
     @pytest.mark.parametrize("trials", [50, 300])  # 300 spans two blocks
     def test_batched_minimum_is_the_scalar_sampler(self, trials):
-        # the frames from sample_schubert_cell, one trial after another on
-        # the check's one stream, projected one at a time: the same minimum,
-        # bit for bit
+        # the frames from sample_schubert_cell on the standard flag, one trial
+        # after another on the check's one stream, scored one at a time in
+        # rho's eigenbasis: the same minimum, bit for bit
         rho = random_hermitian(4, 7)
-        flag = induced_flag(rho)
+        lams = np.linalg.eigvalsh(rho)[::-1]
         seed = 11
         for mask in range(16):
             pi = tuple(int(b) for b in format(mask, "04b"))
             rng, = check_streams(seed, 1)
-            values = [projection_value(rho, sample_schubert_cell(flag, pi, rng))
+            values = [eigenbasis_score(lams, sample_schubert_cell(standard_flag(4), pi, rng))
                       for _ in range(trials)]
             report = hersch_zwahlen_check(rho, pi, trials=trials, seed=seed)
             assert report.min_sampled == min(values)
@@ -244,12 +269,12 @@ class TestHerschZwahlen:
         rng = np.random.default_rng([seed, 0])
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         rho = (g + g.conj().T) / 2.0
-        flag = induced_flag(rho)
-        replay = sample_schubert_cell(flag, pi, np.random.default_rng([seed, 0]))
-        own = sample_schubert_cell(flag, pi, check_streams(seed, 1)[0])
+        lams = np.linalg.eigvalsh(rho)[::-1]
+        replay = sample_schubert_cell(standard_flag(d), pi, np.random.default_rng([seed, 0]))
+        own = sample_schubert_cell(standard_flag(d), pi, check_streams(seed, 1)[0])
         report = hersch_zwahlen_check(rho, pi, trials=1, seed=seed)
-        assert report.min_sampled == projection_value(rho, own)
-        assert report.min_sampled != projection_value(rho, replay)
+        assert report.min_sampled == eigenbasis_score(lams, own)
+        assert report.min_sampled != eigenbasis_score(lams, replay)
 
 
 class TestDuality:
@@ -258,28 +283,28 @@ class TestDuality:
         # reversed sequence agree on every span of eigenvectors, which are the
         # representatives the minimization argument uses
         rho = random_hermitian(5, 12)
-        flag_neg = induced_flag(-rho)
-        flag_pos = induced_flag(rho)
+        flag_neg = eigenflag(-rho)
+        flag_pos = eigenflag(rho)
         for mask in range(32):
             sigma = tuple(int(b) for b in format(mask, "05b"))
             dual = sigma[::-1]
-            frame = flag_neg.basis[:, [i for i, b in enumerate(sigma) if b]]
-            assert schubert_membership(frame, flag_neg.basis, sigma)
-            assert schubert_membership(frame, flag_pos.basis, dual)
+            frame = flag_neg[:, [i for i, b in enumerate(sigma) if b]]
+            assert schubert_membership(frame, flag_neg, sigma)
+            assert schubert_membership(frame, flag_pos, dual)
 
     def test_duality_fails_for_generic_cell_members(self):
         # falsification kept on record: as a set identity over *open* cells the
         # reversal rule is wrong; a generic member of the sigma-cell of -rho
         # already misses the reversed cell of rho for sigma = (1,0,1,0,0)
         rho = random_hermitian(5, 12)
-        flag_neg = induced_flag(-rho)
-        flag_pos = induced_flag(rho)
+        flag_neg = eigenflag(-rho)
+        flag_pos = eigenflag(rho)
         sigma = (1, 0, 1, 0, 0)
         hits = 0
         for seed in range(10):
             frame = sample_schubert_cell(flag_neg, sigma, np.random.default_rng(seed))
-            assert schubert_membership(frame, flag_neg.basis, sigma)
-            hits += schubert_membership(frame, flag_pos.basis, sigma[::-1])
+            assert schubert_membership(frame, flag_neg, sigma)
+            hits += schubert_membership(frame, flag_pos, sigma[::-1])
         assert hits == 0
 
 
